@@ -7,10 +7,6 @@
 //   no_reuse       engine on, but DPTRACE memo / nogood watches / DPRELAX
 //                  memo all off - the hot paths before the reuse overhaul
 //   engine_on      full defaults (per-error solver scope)
-//   probe_batch    engine on plus batched decision probing (--probe on):
-//                  lane-parallel lookahead refutes doomed branches before
-//                  they cost a decision + backtrack pair (docs/SOLVER.md,
-//                  "Batched probing")
 //   campaign_scope engine on with campaign-lifetime deduction reuse
 //   warm_start     campaign scope warm-started from the deduction snapshot
 //                  the campaign_scope pass exported (the persisted-store
@@ -69,9 +65,6 @@ struct RunStats {
   std::uint64_t relax_pair_captures = 0;
   std::uint64_t cpi_dont_cares = 0;
   std::uint64_t dontcare_candidates = 0;
-  std::uint64_t probe_batches = 0;
-  std::uint64_t probe_lanes = 0;
-  std::uint64_t probe_prunes = 0;
   double total_seconds = 0;
 
   double percentile(double p) const {
@@ -108,9 +101,6 @@ void fold(RunStats* out, const TgResult& r, double s) {
   out->relax_pair_captures += r.stats.relax_pair_captures;
   out->cpi_dont_cares += r.stats.cpi_dont_cares;
   out->dontcare_candidates += r.stats.dontcare_candidates;
-  out->probe_batches += r.stats.probe_batches;
-  out->probe_lanes += r.stats.probe_lanes;
-  out->probe_prunes += r.stats.probe_prunes;
 }
 
 /// One generator over the whole population. `warm` (optional) is imported
@@ -172,8 +162,7 @@ void emit(std::FILE* f, const char* name, const RunStats& r) {
       "\"relax_hits\": %llu, \"relax_lookups\": %llu, "
       "\"relax_cross_site_misses\": %llu, "
       "\"relax_pair_captures\": %llu, \"cpi_dont_cares\": %llu, "
-      "\"dontcare_candidates\": %llu, \"probe_batches\": %llu, "
-      "\"probe_lanes\": %llu, \"probe_prunes\": %llu}",
+      "\"dontcare_candidates\": %llu}",
       name, r.total_seconds, r.percentile(0.50), r.percentile(0.95),
       r.detected_count, static_cast<unsigned long long>(r.decisions),
       static_cast<unsigned long long>(r.backtracks),
@@ -191,10 +180,7 @@ void emit(std::FILE* f, const char* name, const RunStats& r) {
       static_cast<unsigned long long>(r.relax_cross_site_misses),
       static_cast<unsigned long long>(r.relax_pair_captures),
       static_cast<unsigned long long>(r.cpi_dont_cares),
-      static_cast<unsigned long long>(r.dontcare_candidates),
-      static_cast<unsigned long long>(r.probe_batches),
-      static_cast<unsigned long long>(r.probe_lanes),
-      static_cast<unsigned long long>(r.probe_prunes));
+      static_cast<unsigned long long>(r.dontcare_candidates));
 }
 
 double ratio(std::uint64_t base, std::uint64_t opt) {
@@ -263,19 +249,6 @@ int main(int argc, char** argv) {
                                               on.dptrace_reused),
               static_cast<unsigned long long>(on.nogood_comparisons));
 
-  TgConfig probe_cfg;
-  probe_cfg.ctrljust.use_probes = true;
-  const RunStats probe = run(m, errors, probe_cfg);
-  std::printf("probe batch   : %.2fs, %zu detected, %llu decisions, "
-              "%llu backtracks, %llu prunes over %llu lanes "
-              "(%llu sweeps)\n",
-              probe.total_seconds, probe.detected_count,
-              static_cast<unsigned long long>(probe.decisions),
-              static_cast<unsigned long long>(probe.backtracks),
-              static_cast<unsigned long long>(probe.probe_prunes),
-              static_cast<unsigned long long>(probe.probe_lanes),
-              static_cast<unsigned long long>(probe.probe_batches));
-
   TgConfig campaign_cfg;
   campaign_cfg.solver.scope = SolverScope::kCampaign;
   DedSnapshot snapshot;
@@ -316,9 +289,6 @@ int main(int argc, char** argv) {
       ratio(noreuse.dptrace_expansions, on.dptrace_expansions);
   const double probe_reduction =
       ratio(noreuse.nogood_comparisons, on.nogood_comparisons);
-  const double probe_effort_reduction =
-      ratio(on.decisions + on.backtracks,
-            probe.decisions + probe.backtracks);
   std::printf("search effort (decisions + backtracks): %llu -> %llu "
               "(%.2fx reduction)\n",
               static_cast<unsigned long long>(off.decisions + off.backtracks),
@@ -332,16 +302,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(noreuse.nogood_comparisons),
               static_cast<unsigned long long>(on.nogood_comparisons),
               probe_reduction);
-  std::printf("batched probing (decisions + backtracks): %llu -> %llu "
-              "(%.2fx reduction)\n",
-              static_cast<unsigned long long>(on.decisions + on.backtracks),
-              static_cast<unsigned long long>(probe.decisions +
-                                              probe.backtracks),
-              probe_effort_reduction);
 
   const bool outcomes_identical = off.detected == on.detected &&
                                   off.detected == noreuse.detected &&
-                                  off.detected == probe.detected &&
                                   off.detected == campaign.detected &&
                                   off.detected == warm.detected &&
                                   off.detected == shard.detected;
@@ -365,8 +328,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, ",\n");
   emit(f, "engine_on", on);
   std::fprintf(f, ",\n");
-  emit(f, "probe_batch", probe);
-  std::fprintf(f, ",\n");
   emit(f, "campaign_scope", campaign);
   std::fprintf(f, ",\n");
   emit(f, "warm_start", warm);
@@ -377,11 +338,9 @@ int main(int argc, char** argv) {
                "  \"effort_reduction\": %.3f,\n"
                "  \"expansion_reduction\": %.3f,\n"
                "  \"probe_reduction\": %.3f,\n"
-               "  \"probe_effort_reduction\": %.3f,\n"
                "  \"outcomes_identical\": %s\n"
                "}\n",
                effort_reduction, expansion_reduction, probe_reduction,
-               probe_effort_reduction,
                outcomes_identical ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());

@@ -7,7 +7,6 @@
 //                      [--max-decisions N] [--fallback [tries]]
 //                      [--journal file.jsonl] [--resume | --resume=strict]
 //                      [--jobs N] [--drop] [--lanes N] [--solver on|off]
-//                      [--probe on|off] [--probe-order on|off]
 //                      [--solver-scope error|campaign] [--store file.ded]
 //                      [--failpoints SPEC]
 //                      [--verify-witness] [--minimize] [--quarantine-dir D]
@@ -44,14 +43,6 @@
 // (docs/SOLVER.md): no implication engine, nogood learning or justification
 // cache. Detection outcomes are identical either way; only the effort
 // counters differ.
-//
-// --probe on batches CTRLJUST's candidate decisions through the SIMD lane
-// engine before each descent and prunes proven-doomed branches
-// (docs/SOLVER.md "Batched probing"): witnesses and detection outcomes are
-// unchanged for any --lanes width or backend; decisions/backtracks drop.
-// Off by default so default rows stay byte-identical across releases.
-// --probe-order on additionally re-ranks surviving candidates by
-// implied-literal count (implies --probe on; this one MAY change witnesses).
 //
 // --solver-scope campaign keeps the learned nogoods, justification cache
 // and DPRELAX memo alive across the whole error population instead of
@@ -180,8 +171,6 @@ int main(int argc, char** argv) {
   bool use_drop = false;
   unsigned lanes = 0;  // --drop batch width; 0 = resolve_lanes() auto
   bool use_solver = true;
-  bool use_probes = false;  // --probe: batched decision probing
-  bool probe_order = false;  // --probe-order: implied-count decision ranking
   SolverScope scope = SolverScope::kError;
   bool verify_witness = false;
   bool minimize = false;
@@ -233,31 +222,6 @@ int main(int argc, char** argv) {
         use_solver = false;
       else {
         std::fprintf(stderr, "--solver takes 'on' or 'off', not '%s'\n",
-                     v.c_str());
-        return 1;
-      }
-    }
-    else if (!std::strcmp(argv[i], "--probe") && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "on")
-        use_probes = true;
-      else if (v == "off")
-        use_probes = false;
-      else {
-        std::fprintf(stderr, "--probe takes 'on' or 'off', not '%s'\n",
-                     v.c_str());
-        return 1;
-      }
-    }
-    else if (!std::strcmp(argv[i], "--probe-order") && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "on") {
-        use_probes = true;  // ranking needs the probe verdicts
-        probe_order = true;
-      } else if (v == "off")
-        probe_order = false;
-      else {
-        std::fprintf(stderr, "--probe-order takes 'on' or 'off', not '%s'\n",
                      v.c_str());
         return 1;
       }
@@ -394,9 +358,6 @@ int main(int argc, char** argv) {
   TgConfig tgcfg;
   tgcfg.solver.enable = use_solver;
   tgcfg.solver.scope = scope;
-  tgcfg.ctrljust.use_probes = use_probes;
-  tgcfg.ctrljust.probe_order = probe_order;
-  tgcfg.ctrljust.probe_lanes = lanes;  // shared with --drop batch width
 
   // Provenance stamps: recorded in the journal header and the store meta
   // record, validated on --resume and on store load so deduction state is
@@ -568,19 +529,21 @@ int main(int argc, char** argv) {
     std::printf("saved %u tests to %s/\n", saved, save_dir.c_str());
   }
 
-  // Post-mortem on aborted errors: separate provable redundancy from
-  // genuine generator give-ups.
+  // Post-mortem on aborted errors: separate provable redundancy (constant
+  // or unobservable line - the same proofs as bench_table1) from genuine
+  // generator give-ups.
   if (emodel == "ssl" && !res.interrupted) {
     const BitConstants bc = analyze_bit_constants(m.dp);
+    const ObservableBits ob = analyze_observable_bits(m.dp);
     std::size_t redundant = 0;
     std::printf("aborted errors:\n");
     for (const CampaignRow& row : res.rows) {
       if (row.attempt.detected()) continue;
       const auto& e = std::get<BusSslError>(row.error.e);
-      const bool red = is_redundant(bc, e);
-      redundant += red;
+      const bool red = is_redundant(bc, ob, e);
       const bool quarantined =
           row.attempt.outcome() == AttemptOutcome::kClaimMismatch;
+      redundant += red && !quarantined;
       std::printf("  %-44s %s\n", row.error.describe(m.dp).c_str(),
                   quarantined
                       ? "quarantined: claim mismatch"

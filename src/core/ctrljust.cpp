@@ -1,7 +1,6 @@
 #include "core/ctrljust.h"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 
 #include "solver/justcache.h"
@@ -382,20 +381,10 @@ CtrlJustResult CtrlJust::solve_engine(
 
   imply();
   for (;;) {
-    // A probe-vetted search spends backtracks only on subtrees the
-    // lane + engine lookahead could not refute, so the same search power
-    // fits in a fraction of the blind-flip budget (ctrljust.h,
-    // probe_budget_divisor).
-    const std::uint64_t bt_cap =
-        cfg_.use_probes && cfg_.probe_budget_divisor > 1
-            ? std::max<std::uint64_t>(1,
-                                      cfg_.max_backtracks /
-                                          cfg_.probe_budget_divisor)
-            : cfg_.max_backtracks;
-    if (res.stats.backtracks > bt_cap ||
+    if (res.stats.backtracks > cfg_.max_backtracks ||
         res.stats.decisions > cfg_.max_decisions) {
       res.status = TgStatus::kFailure;
-      res.abort = res.stats.backtracks > bt_cap
+      res.abort = res.stats.backtracks > cfg_.max_backtracks
                       ? AbortReason::kBacktracks
                       : AbortReason::kDecisions;
       break;
@@ -432,236 +421,6 @@ CtrlJustResult CtrlJust::solve_engine(
       }
       have_next = backtrace(*open, &next);
       if (!have_next) violated = true;  // objective unreachable: conflict
-    }
-
-    // Batched probe: at a genuinely free branch point, speculatively push
-    // the open objectives' backtrace targets and the remaining free
-    // decision variables - both polarities, one lane each - through the
-    // lane engine before descending. A candidate doomed both ways proves
-    // the node has no success leaf (probe_batch.h), so it collapses into a
-    // backtrack right here; a doomed polarity forces the survivor into the
-    // implication engine, where the hint path below turns it into a
-    // pre-flipped non-decision. Neither changes any detection outcome -
-    // only the effort spent reaching it.
-    if (cfg_.use_probes && !violated &&
-        eng.value(next.gate, next.cycle) == L3::X) {
-      const auto probe_t0 = std::chrono::steady_clock::now();
-      if (!probe_) {
-        ProbeBatchConfig pcfg;
-        pcfg.lanes = cfg_.probe_lanes;
-        pcfg.serial = cfg_.probe_serial;
-        pcfg.count_implied = cfg_.probe_order;
-        probe_ = std::make_unique<ProbeBatch>(gn_, cycles_, pcfg);
-      }
-      probe_cands_.clear();
-      probe_alts_.clear();
-      probe_cands_.push_back({next.gate, next.cycle});
-      probe_alts_.push_back(next);
-      for (const CtrlObjective& o : objectives) {
-        if (&o == open || objective_state(o) != ObjState::kOpen) continue;
-        Decision alt{};
-        if (!backtrace(o, &alt)) continue;
-        if (eng.value(alt.gate, alt.cycle) != L3::X) continue;
-        bool dup = false;
-        for (const ProbeCand& c : probe_cands_)
-          dup = dup || (c.gate == alt.gate && c.cycle == alt.cycle);
-        if (!dup) {
-          probe_cands_.push_back({alt.gate, alt.cycle});
-          probe_alts_.push_back(alt);
-        }
-      }
-      // Only the backtrace targets above are decision-order candidates;
-      // everything appended below is failed-literal material only.
-      const std::size_t n_targets = probe_cands_.size();
-      // Failed-literal sweep: every still-free decision variable at any
-      // cycle that can reach an objective. Lanes are cheap - a doomed
-      // polarity anywhere becomes a forced literal, and a doomed-both-ways
-      // variable proves the node UNSAT outright.
-      unsigned probe_tmax = 0;
-      for (const CtrlObjective& o : objectives)
-        probe_tmax = std::max(probe_tmax, o.cycle + 1);
-      probe_tmax = std::min(probe_tmax, cycles_);
-      if (probe_vars_.empty())
-        for (GateId g = 0; g < gn_.num_gates(); ++g)
-          if (gn_.gate(g).kind == GateKind::kVar &&
-              (gn_.gate(g).role == SigRole::kCPI ||
-               gn_.gate(g).role == SigRole::kSts))
-            probe_vars_.push_back(g);
-      for (unsigned t = 0; t < probe_tmax; ++t)
-        for (GateId g : probe_vars_) {
-          if (win_.value(g, t) != L3::X || eng.value(g, t) != L3::X) continue;
-          bool dup = false;
-          for (std::size_t i = 0; i < n_targets; ++i)
-            dup = dup ||
-                  (probe_cands_[i].gate == g && probe_cands_[i].cycle == t);
-          if (!dup) {
-            probe_cands_.push_back({g, t});
-            probe_alts_.push_back({g, t, false, false});
-          }
-        }
-      // Base trajectory: the window's forward implications merged with the
-      // engine's facts (backward propagation knows values the forward
-      // window view cannot see; both are sound, so the union is).
-      const auto base = [this, &eng](GateId g, unsigned t) {
-        const L3 v = win_.value(g, t);
-        return v != L3::X ? v : eng.value(g, t);
-      };
-      // Lane probe + engine failed-literal fixpoint. Each round:
-      //  1. one masked lane sweep over every still-free candidate - a
-      //     candidate doomed both ways collapses the node outright, a
-      //     single doomed polarity forces the survivor into the engine
-      //     (an implication, not a decision);
-      //  2. survivors are vetted through an engine lookahead (assert,
-      //     propagate, pop) - backward propagation refutes assignments the
-      //     forward cone cannot see, and refuted polarities force or
-      //     collapse the same way.
-      // Forced literals strengthen the base of the next round, so rounds
-      // repeat until one forces nothing. Every forcing or collapse here
-      // replaces the decision + conflict + backtrack round trip the serial
-      // search spends discovering the same dead end.
-      const auto engine_dooms = [&](GateId g, unsigned t, bool v) {
-        eng.push_level();
-        const bool ok = eng.assert_lit(g, t, v, true) && eng.propagate();
-        eng.pop_to(static_cast<unsigned>(stack.size()));
-        if (watcher_) watcher_->on_pop(eng.trail().size());
-        return !ok;
-      };
-      std::vector<ProbeCand> round;  // still-free slice of probe_cands_
-      std::vector<ProbeCand> pair_round;
-      std::vector<ProbeOutcome> pair_out0, pair_out1;
-      std::vector<std::uint32_t> scores(cfg_.probe_order ? n_targets : 0, 0);
-      // The branch variable the serial search is about to decide. With
-      // --probe-order off this is exactly the backtrace pick (today's
-      // decision order); with it on, the target with the highest
-      // implied-literal score from the first probe round, ties keeping the
-      // objective order. Failed-literal extras are never decision
-      // candidates - deciding a variable no objective backtraces to would
-      // waste the branch.
-      const auto choose_branch = [&]() -> Decision {
-        if (!cfg_.probe_order) return probe_alts_[0];
-        std::size_t pick = 0;
-        std::uint32_t best = 0;
-        for (std::size_t i = 0; i < n_targets; ++i)
-          if (i == 0 || scores[i] > best) {
-            best = scores[i];
-            pick = i;
-          }
-        return probe_alts_[pick];
-      };
-      bool first_round = true;
-      bool forced_any = true;
-      while (forced_any && !violated) {
-        forced_any = false;
-        round.clear();
-        for (const ProbeCand& c : probe_cands_)
-          if (win_.value(c.gate, c.cycle) == L3::X &&
-              eng.value(c.gate, c.cycle) == L3::X)
-            round.push_back(c);
-        if (round.empty()) break;
-        const ProbeBatchStats before = probe_->stats();
-        probe_->run(base, objectives, round, &probe_outs_);
-        res.stats.probe_batches += probe_->stats().batches - before.batches;
-        res.stats.probe_lanes += probe_->stats().lanes - before.lanes;
-        if (first_round && cfg_.probe_order) {
-          // The first round covers every candidate in list order, so the
-          // targets' implied-literal scores are at slots [0, n_targets).
-          for (std::size_t i = 0; i < n_targets; ++i)
-            scores[i] = probe_outs_[i].implied[probe_alts_[i].value ? 1 : 0];
-        }
-        first_round = false;
-        for (std::size_t i = 0; i < round.size() && !violated; ++i) {
-          const ProbeOutcome& oc = probe_outs_[i];
-          if (oc.doomed[0] && oc.doomed[1]) {
-            violated = true;  // no success leaf below this node
-            ++res.stats.probe_prunes;
-          } else if (oc.doomed[0] || oc.doomed[1]) {
-            // Only the surviving polarity can sit below a success leaf;
-            // assert it as an engine fact of this node (popped with it).
-            if (!shadow(round[i].gate, round[i].cycle, oc.doomed[0], false))
-              violated = true;  // survivor refuted too: the node is UNSAT
-            ++res.stats.probe_prunes;
-            forced_any = true;
-          }
-        }
-        for (std::size_t i = 0; i < round.size() && !violated; ++i) {
-          const ProbeCand& c = round[i];
-          if (eng.value(c.gate, c.cycle) != L3::X) continue;  // forced above
-          const bool d0 = engine_dooms(c.gate, c.cycle, false);
-          const bool d1 = engine_dooms(c.gate, c.cycle, true);
-          if (d0 && d1) {
-            violated = true;  // both polarities refuted: the node is UNSAT
-            ++res.stats.probe_prunes;
-          } else if (d0 || d1) {
-            if (!shadow(c.gate, c.cycle, d0, false)) violated = true;
-            ++res.stats.probe_prunes;
-            forced_any = true;
-          }
-        }
-        // Pair probing (dilemma rule), once the one-literal fixpoint is
-        // dry: anchor every lane on the branch variable the search is
-        // about to decide and re-probe the surviving candidates beneath
-        // each polarity. Any total assignment extending this node picks
-        // some value for every variable, so
-        //  - a candidate doomed BOTH ways beneath next := v refutes the
-        //    anchor polarity v itself (the conflicts the serial search
-        //    only reaches two decisions down), and
-        //  - a candidate polarity doomed beneath BOTH anchor values is
-        //    refuted outright and forces its survivor.
-        if (!violated && !forced_any) {
-          const Decision bv = choose_branch();
-          if (win_.value(bv.gate, bv.cycle) == L3::X &&
-              eng.value(bv.gate, bv.cycle) == L3::X) {
-            pair_round.clear();
-            for (const ProbeCand& c : round)
-              if ((c.gate != bv.gate || c.cycle != bv.cycle) &&
-                  win_.value(c.gate, c.cycle) == L3::X &&
-                  eng.value(c.gate, c.cycle) == L3::X)
-                pair_round.push_back(c);
-            if (!pair_round.empty()) {
-              const ProbeBatchStats pb = probe_->stats();
-              probe_->run(base, objectives, {bv.gate, bv.cycle, false},
-                          pair_round, &pair_out0);
-              probe_->run(base, objectives, {bv.gate, bv.cycle, true},
-                          pair_round, &pair_out1);
-              res.stats.probe_batches += probe_->stats().batches - pb.batches;
-              res.stats.probe_lanes += probe_->stats().lanes - pb.lanes;
-              bool doomA[2] = {false, false};
-              for (std::size_t i = 0; i < pair_round.size(); ++i) {
-                doomA[0] = doomA[0] || (pair_out0[i].doomed[0] &&
-                                        pair_out0[i].doomed[1]);
-                doomA[1] = doomA[1] || (pair_out1[i].doomed[0] &&
-                                        pair_out1[i].doomed[1]);
-              }
-              if (doomA[0] && doomA[1]) {
-                violated = true;  // both branch polarities refuted
-                ++res.stats.probe_prunes;
-              } else if (doomA[0] || doomA[1]) {
-                if (!shadow(bv.gate, bv.cycle, doomA[0], false))
-                  violated = true;
-                ++res.stats.probe_prunes;
-                forced_any = true;
-              }
-              for (std::size_t i = 0; i < pair_round.size() && !violated;
-                   ++i)
-                for (int b = 0; b < 2 && !violated; ++b)
-                  if (pair_out0[i].doomed[b] && pair_out1[i].doomed[b] &&
-                      eng.value(pair_round[i].gate, pair_round[i].cycle) ==
-                          L3::X) {
-                    if (!shadow(pair_round[i].gate, pair_round[i].cycle,
-                                b == 0, false))
-                      violated = true;
-                    ++res.stats.probe_prunes;
-                    forced_any = true;
-                  }
-            }
-          }
-        }
-      }
-      if (!violated) next = choose_branch();
-      res.stats.probe_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - probe_t0)
-              .count());
     }
 
     if (violated) {

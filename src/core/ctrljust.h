@@ -25,7 +25,6 @@
 #include "core/objectives.h"
 #include "core/unroll.h"
 #include "solver/implication.h"
-#include "solver/probe_batch.h"
 #include "solver/solver.h"
 #include "util/budget.h"
 #include "util/status.h"
@@ -53,16 +52,6 @@ struct CtrlJustStats {
   std::uint64_t nogood_comparisons = 0;
   std::uint64_t cache_hits = 0;     ///< solves answered from the cache
   std::uint64_t cache_lookups = 0;  ///< cache probes (hits + misses)
-  // Batched decision probing (solver/probe_batch; zero with use_probes off).
-  std::uint64_t probe_batches = 0;  ///< masked lane-parallel window sweeps
-  std::uint64_t probe_lanes = 0;    ///< candidate-polarity lanes evaluated
-  /// Branch points resolved by a probe verdict: doomed-both-ways nodes
-  /// collapsed without a decision, plus doomed polarities decided pre-flipped
-  /// (each saves at least one decision + backtrack pair).
-  std::uint64_t probe_prunes = 0;
-  /// Wall time inside ProbeBatch::run - split out so ctrljust_ns keeps
-  /// measuring the search itself (TG subtracts this when attributing).
-  std::uint64_t probe_ns = 0;
 };
 
 struct CtrlJustResult {
@@ -89,33 +78,6 @@ struct CtrlJustConfig {
   std::uint64_t max_decisions = 5000;
   bool record_trace = false;  ///< keep the decision sequence for debugging
   bool use_engine = true;     ///< implication-engine back end (else legacy)
-  /// Batched lookahead probing (solver/probe_batch): before each free
-  /// decision, evaluate the open objectives' backtrace targets - both
-  /// polarities, one SIMD lane each - and prune proven-doomed branches
-  /// without spending a decision + backtrack pair. Witnesses and detection
-  /// outcomes are unchanged (monotonicity argument in probe_batch.h); the
-  /// effort counters drop. Off by default so default campaign rows stay
-  /// byte-identical with earlier releases. Engine back end only.
-  bool use_probes = false;
-  /// Rank surviving candidates by implied-literal count instead of keeping
-  /// the legacy decision order (--probe-order on). This DOES change the
-  /// decision order and therefore possibly the witness; gated separately so
-  /// use_probes alone preserves today's witnesses exactly.
-  bool probe_order = false;
-  /// With use_probes on, the per-solve backtrack budget becomes
-  /// max_backtracks / probe_budget_divisor (floor 1). The budget exists to
-  /// bound blind chronological flipping; the probe layer refutes doomed
-  /// branches before they are decided, so each counted backtrack under
-  /// probing already stands for a vetted subtree and the same search power
-  /// fits in a fraction of the budget. The CI perf guard
-  /// (tools/check_bench.py) holds detection outcomes identical to the
-  /// unprobed search while enforcing the effort reduction.
-  std::uint64_t probe_budget_divisor = 4;
-  /// Probe lane width (0 = --lanes / HLTG_LANES / CPUID auto).
-  unsigned probe_lanes = 0;
-  /// Serial reference probe path: one candidate-polarity per sweep through
-  /// the same kernels. Byte-identical outcomes; testing hatch.
-  bool probe_serial = false;
 };
 
 class CtrlJust {
@@ -176,14 +138,6 @@ class CtrlJust {
   /// Watch-based nogood applier (lazy; engine back end with a context whose
   /// config enables use_nogood_watches). Rebuilt at the top of every solve.
   std::unique_ptr<NogoodWatcher> watcher_;
-  /// Batched decision prober (lazy; engine back end with use_probes). Its
-  /// cone cache persists across the solves of this CtrlJust.
-  std::unique_ptr<ProbeBatch> probe_;
-  // Probe scratch, reused across iterations.
-  std::vector<ProbeCand> probe_cands_;
-  std::vector<Decision> probe_alts_;  ///< backtrace decision per candidate
-  std::vector<ProbeOutcome> probe_outs_;
-  std::vector<GateId> probe_vars_;  ///< decision vars (CPI/STS kVar bits)
 };
 
 }  // namespace hltg

@@ -169,13 +169,9 @@ TgResult TestGenerator::generate(const DesignError& err, Budget* budget) {
   second.stats.relax_pair_captures += first.stats.relax_pair_captures;
   second.stats.cpi_dont_cares += first.stats.cpi_dont_cares;
   second.stats.dontcare_candidates += first.stats.dontcare_candidates;
-  second.stats.probe_batches += first.stats.probe_batches;
-  second.stats.probe_lanes += first.stats.probe_lanes;
-  second.stats.probe_prunes += first.stats.probe_prunes;
   second.stats.dptrace_ns += first.stats.dptrace_ns;
   second.stats.ctrljust_ns += first.stats.ctrljust_ns;
   second.stats.dprelax_ns += first.stats.dprelax_ns;
-  second.stats.probe_ns += first.stats.probe_ns;
   if (second.status != TgStatus::kSuccess && second.note.empty())
     second.note = first.note;
   return second;
@@ -294,10 +290,7 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
 
     const auto cj_t0 = tick();
     const CtrlJustResult cr = cj.solve(objectives, budget);
-    // Attribute probe time to its own bucket; ctrljust_ns keeps measuring
-    // the search itself (lap covers both, the probe reports its share).
-    res.stats.ctrljust_ns += lap(cj_t0) - cr.stats.probe_ns;
-    res.stats.probe_ns += cr.stats.probe_ns;
+    res.stats.ctrljust_ns += lap(cj_t0);
     res.stats.decisions += cr.stats.decisions;
     res.stats.backtracks += cr.stats.backtracks;
     res.stats.implications += cr.stats.implications;
@@ -306,9 +299,6 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
     res.stats.nogood_comparisons += cr.stats.nogood_comparisons;
     res.stats.cache_hits += cr.stats.cache_hits;
     res.stats.cache_lookups += cr.stats.cache_lookups;
-    res.stats.probe_batches += cr.stats.probe_batches;
-    res.stats.probe_lanes += cr.stats.probe_lanes;
-    res.stats.probe_prunes += cr.stats.probe_prunes;
     if (cr.status != TgStatus::kSuccess) {
       // Per-search caps (cr.abort) just fail this plan; only the
       // attempt-wide budget aborts the whole error.
@@ -461,10 +451,6 @@ ErrorAttempt to_attempt(const TgResult& r, double seconds) {
   a.dptrace_ns = r.stats.dptrace_ns;
   a.ctrljust_ns = r.stats.ctrljust_ns;
   a.dprelax_ns = r.stats.dprelax_ns;
-  a.probe_ns = r.stats.probe_ns;
-  a.probe_batches = r.stats.probe_batches;
-  a.probe_lanes = r.stats.probe_lanes;
-  a.probe_prunes = r.stats.probe_prunes;
   a.note = r.note;
   a.abort = r.stats.abort;
   return a;
@@ -582,13 +568,6 @@ std::uint64_t tg_config_hash(const TgConfig& cfg) {
         (cfg.solver.use_cache ? 4u : 0u) |
         (cfg.solver.use_nogood_watches ? 8u : 0u) |
         (cfg.solver.use_relax_cache ? 16u : 0u));
-  // Mixed only when probing is on, so default-config hashes - and every
-  // journal / deduction store written before probing existed - are
-  // unchanged. Lane width and the serial hatch are NOT mixed: outcomes are
-  // width/backend-invariant by construction (solver/probe_batch.h).
-  if (cfg.ctrljust.use_probes || cfg.ctrljust.probe_order)
-    f.mix((cfg.ctrljust.use_probes ? 1u : 0u) |
-          (cfg.ctrljust.probe_order ? 2u : 0u));
   return f.h;
 }
 

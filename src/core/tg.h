@@ -77,16 +77,10 @@ struct TgStats {
   /// injection-site suffix of the key - the reuse a site-independent
   /// keying would capture (measured, not exploited; docs/SOLVER.md).
   std::uint64_t relax_cross_site_misses = 0;
-  // Batched decision probing (solver/probe_batch; zero unless
-  // ctrljust.use_probes is on - the default keeps it off).
-  std::uint64_t probe_batches = 0;  ///< masked lane-parallel window sweeps
-  std::uint64_t probe_lanes = 0;    ///< candidate-polarity lanes evaluated
-  std::uint64_t probe_prunes = 0;   ///< branch points resolved by a probe
   // Per-phase wall time (monotonic clock), for the campaign CSV / --replay.
   std::uint64_t dptrace_ns = 0;
-  std::uint64_t ctrljust_ns = 0;  ///< search time, probe time excluded
+  std::uint64_t ctrljust_ns = 0;
   std::uint64_t dprelax_ns = 0;
-  std::uint64_t probe_ns = 0;  ///< time inside ProbeBatch::run
   /// Set when the attempt unwound because its Budget fired (deadline /
   /// backtracks / decisions / cancelled); kNone for ordinary exhaustion of
   /// the plan list or for success.

@@ -61,14 +61,6 @@ std::string CampaignStats::table1(const std::string& title) const {
     t.add_kv("Phase time: CTRLJUST [ms]", fmt_double(ctrljust_ns / 1e6, 1));
     t.add_kv("Phase time: DPRELAX [ms]", fmt_double(dprelax_ns / 1e6, 1));
   }
-  // Probe tallies render only when probing ran (default-off keeps the
-  // summary byte-identical to pre-probe releases).
-  if (probe_batches > 0 || probe_lanes > 0 || probe_prunes > 0) {
-    t.add_kv("Probe: batched window sweeps", std::to_string(probe_batches));
-    t.add_kv("Probe: candidate lanes", std::to_string(probe_lanes));
-    t.add_kv("Probe: branch points pruned", std::to_string(probe_prunes));
-    t.add_kv("Phase time: PROBE [ms]", fmt_double(probe_ns / 1e6, 1));
-  }
   t.add_kv("CPU time [minutes]", fmt_double(cpu_seconds / 60.0, 2));
   return t.to_string();
 }
@@ -88,10 +80,6 @@ void CampaignStats::add_attempt(const ErrorAttempt& a,
     dptrace_ns += a.dptrace_ns;
     ctrljust_ns += a.ctrljust_ns;
     dprelax_ns += a.dprelax_ns;
-    probe_ns += a.probe_ns;
-    probe_batches += a.probe_batches;
-    probe_lanes += a.probe_lanes;
-    probe_prunes += a.probe_prunes;
     cpu_seconds += a.seconds;
     return;
   }
@@ -125,10 +113,6 @@ void CampaignStats::add_attempt(const ErrorAttempt& a,
   dptrace_ns += a.dptrace_ns;
   ctrljust_ns += a.ctrljust_ns;
   dprelax_ns += a.dprelax_ns;
-  probe_ns += a.probe_ns;
-  probe_batches += a.probe_batches;
-  probe_lanes += a.probe_lanes;
-  probe_prunes += a.probe_prunes;
   cpu_seconds += a.seconds;
 }
 
@@ -138,6 +122,22 @@ void append_note(std::string* dst, const std::string& more) {
   if (more.empty()) return;
   if (!dst->empty()) *dst += "; ";
   *dst += more;
+}
+
+/// A rescued row (fallback-detected or recovered cross-config) carries the
+/// effort of the attempt it replaced, so Table-1 cost and phase time stay
+/// honest.
+void add_effort(ErrorAttempt* to, const ErrorAttempt& from) {
+  to->seconds += from.seconds;
+  to->backtracks += from.backtracks;
+  to->decisions += from.decisions;
+  to->implications += from.implications;
+  to->learned += from.learned;
+  to->nogood_hits += from.nogood_hits;
+  to->cache_hits += from.cache_hits;
+  to->dptrace_ns += from.dptrace_ns;
+  to->ctrljust_ns += from.ctrljust_ns;
+  to->dprelax_ns += from.dprelax_ns;
 }
 
 const char* outcome_tag(const ErrorAttempt& a) {
@@ -220,13 +220,7 @@ void apply_triage(const DesignError& err, ErrorAttempt* a,
   re.minimized = a->minimized;
   re.incident_test = std::move(a->incident_test);
   re.incident_min = std::move(a->incident_min);
-  re.seconds += a->seconds;
-  re.backtracks += a->backtracks;
-  re.decisions += a->decisions;
-  re.implications += a->implications;
-  re.learned += a->learned;
-  re.nogood_hits += a->nogood_hits;
-  re.cache_hits += a->cache_hits;
+  add_effort(&re, *a);
   std::string note = a->note;
   append_note(&note, re.note.empty() ? "recovered by cross-config retry"
                                      : re.note);
@@ -308,14 +302,7 @@ ErrorAttempt attempt_one_error(const DesignError& err, std::size_t index,
     return a;
   }
   fb.via_fallback = true;
-  // Carry the primary attempt's effort so Table-1 cost stays honest.
-  fb.seconds += a.seconds;
-  fb.backtracks += a.backtracks;
-  fb.decisions += a.decisions;
-  fb.implications += a.implications;
-  fb.learned += a.learned;
-  fb.nogood_hits += a.nogood_hits;
-  fb.cache_hits += a.cache_hits;
+  add_effort(&fb, a);
   std::string note = a.note;
   append_note(&note, fb.note.empty() ? "detected by fallback" : fb.note);
   fb.note = std::move(note);
@@ -377,9 +364,6 @@ CampaignResult run_campaign(const Netlist& nl,
         std::fprintf(stderr, "  [trace %.2fms just %.2fms relax %.2fms]",
                      a.dptrace_ns / 1e6, a.ctrljust_ns / 1e6,
                      a.dprelax_ns / 1e6);
-      if (a.probe_batches || a.probe_prunes)
-        std::fprintf(stderr, "  [probe %.2fms prunes %llu]", a.probe_ns / 1e6,
-                     static_cast<unsigned long long>(a.probe_prunes));
       std::fprintf(stderr, "\n");
     }
     res.rows.push_back({err, std::move(a)});

@@ -88,12 +88,7 @@ struct ErrorAttempt {
   std::uint64_t dptrace_ns = 0;
   std::uint64_t ctrljust_ns = 0;
   std::uint64_t dprelax_ns = 0;
-  // Batched decision probing (solver/probe_batch; zero with probing off,
-  // for uninstrumented strategies and for rows replayed from old journals).
-  std::uint64_t probe_ns = 0;
-  std::uint64_t probe_batches = 0;
-  std::uint64_t probe_lanes = 0;
-  std::uint64_t probe_prunes = 0;
+  std::uint64_t probe_ns = 0;  ///< always zero; kept for existing readers
   double seconds = 0.0;
   TestCase test;
   std::string note;
@@ -187,12 +182,6 @@ struct CampaignStats {
   std::uint64_t dptrace_ns = 0;
   std::uint64_t ctrljust_ns = 0;
   std::uint64_t dprelax_ns = 0;
-  /// Batched-probe tallies over all attempted errors (zero with probing
-  /// off - the default - so pre-probe reports are unchanged).
-  std::uint64_t probe_ns = 0;
-  std::uint64_t probe_batches = 0;
-  std::uint64_t probe_lanes = 0;
-  std::uint64_t probe_prunes = 0;
   double cpu_seconds = 0.0;
   std::vector<unsigned> length_histogram;  ///< index = length
 

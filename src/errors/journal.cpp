@@ -87,14 +87,6 @@ std::string journal_row_line(std::size_t index, const ErrorAttempt& a) {
     os << ",\"dptrace_ns\":" << a.dptrace_ns
        << ",\"ctrljust_ns\":" << a.ctrljust_ns
        << ",\"dprelax_ns\":" << a.dprelax_ns;
-  // Probe fields follow the same discipline: absent unless probing ran, so
-  // default-config journals are byte-identical to pre-probe releases and
-  // old journals replay with zero defaults.
-  if (a.probe_batches || a.probe_lanes || a.probe_prunes || a.probe_ns)
-    os << ",\"probe_ns\":" << a.probe_ns
-       << ",\"probe_batches\":" << a.probe_batches
-       << ",\"probe_lanes\":" << a.probe_lanes
-       << ",\"probe_prunes\":" << a.probe_prunes;
   os << ",\"seconds\":" << fmt_seconds(a.seconds) << ",\"abort\":\""
      << to_string(a.abort) << "\",\"via_fallback\":"
      << (a.via_fallback ? "true" : "false") << ",\"note\":\""
@@ -175,10 +167,6 @@ JournalReplay load_journal(const std::string& path) {
     j.get_u64("dptrace_ns", &a.dptrace_ns);
     j.get_u64("ctrljust_ns", &a.ctrljust_ns);
     j.get_u64("dprelax_ns", &a.dprelax_ns);
-    j.get_u64("probe_ns", &a.probe_ns);
-    j.get_u64("probe_batches", &a.probe_batches);
-    j.get_u64("probe_lanes", &a.probe_lanes);
-    j.get_u64("probe_prunes", &a.probe_prunes);
     j.get_double("seconds", &a.seconds);
     if (j.get_string("abort", &abort_s)) a.abort = abort_reason_from(abort_s);
     j.get_bool("via_fallback", &a.via_fallback);

@@ -18,19 +18,9 @@ std::string csv_escape(const std::string& s) {
 }  // namespace
 
 std::string campaign_csv(const Netlist& nl, const CampaignResult& res) {
-  // The probe columns appear only when some attempt actually probed
-  // (--probe on), so default campaigns keep the exact pre-probe schema -
-  // the same conditional-emission contract as the journal rows.
-  bool probed = false;
-  for (const CampaignRow& row : res.rows)
-    probed = probed || row.attempt.probe_ns != 0 ||
-             row.attempt.probe_batches != 0 || row.attempt.probe_lanes != 0 ||
-             row.attempt.probe_prunes != 0;
   std::ostringstream os;
   os << "model,error,outcome,abort,verify,test_length,backtracks,decisions,"
-        "seconds,dptrace_ns,ctrljust_ns,dprelax_ns";
-  if (probed) os << ",probe_ns,probe_batches,probe_lanes,probe_prunes";
-  os << '\n';
+        "seconds,dptrace_ns,ctrljust_ns,dprelax_ns\n";
   for (const CampaignRow& row : res.rows) {
     const ErrorAttempt& a = row.attempt;
     os << row.error.model_name() << ','
@@ -38,11 +28,7 @@ std::string campaign_csv(const Netlist& nl, const CampaignResult& res) {
        << to_string(a.outcome()) << ',' << to_string(a.abort) << ','
        << to_string(a.verify) << ',' << a.test_length << ',' << a.backtracks
        << ',' << a.decisions << ',' << a.seconds << ',' << a.dptrace_ns << ','
-       << a.ctrljust_ns << ',' << a.dprelax_ns;
-    if (probed)
-      os << ',' << a.probe_ns << ',' << a.probe_batches << ',' << a.probe_lanes
-         << ',' << a.probe_prunes;
-    os << '\n';
+       << a.ctrljust_ns << ',' << a.dprelax_ns << '\n';
   }
   return os.str();
 }

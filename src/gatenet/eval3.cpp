@@ -1,6 +1,7 @@
 #include "gatenet/eval3.h"
 
 #include "gatenet/evalw.h"
+#include "gatenet/evalw_impl.h"
 
 namespace hltg {
 
@@ -102,8 +103,9 @@ L3 eval_gate3(const GateNet& gn, GateId g, const std::vector<L3>& vals) {
   PlaneScratch& s = scratch();
   s.fit(gn.num_gates());
   for (GateId in : gate.fanin) pack1(vals[in], &s.ones[in], &s.zeros[in]);
-  eval_gates3w(gn, &g, 1, s.ones.data(), s.zeros.data(), 1,
-               LaneBackend::kScalar);
+  detail::eval_gate3_block<detail::ScalarBlock>(
+      gate.kind, gate.fanin.data(), static_cast<unsigned>(gate.fanin.size()),
+      s.ones.data(), s.zeros.data(), &s.ones[g], &s.zeros[g], 1, 0);
   return unpack1(s.ones[g], s.zeros[g]);
 }
 

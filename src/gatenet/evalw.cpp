@@ -181,32 +181,6 @@ void eval_cycle3w(const GateNet& gn, std::uint64_t* ones, std::uint64_t* zeros,
   eval_cycle3w(gn, ones, zeros, words, backend_for(words));
 }
 
-void eval_gates3w(const GateNet& gn, const GateId* gates, std::size_t n,
-                  std::uint64_t* ones, std::uint64_t* zeros, unsigned words,
-                  LaneBackend b) {
-  switch (b) {
-#if defined(HLTG_EVALW_HAVE_AVX512)
-    case LaneBackend::kAvx512:
-      detail::eval_gates3w_avx512(gn, gates, n, ones, zeros, words);
-      return;
-#endif
-#if defined(HLTG_EVALW_HAVE_AVX2)
-    case LaneBackend::kAvx2:
-      detail::eval_gates3w_avx2(gn, gates, n, ones, zeros, words);
-      return;
-#endif
-    default:
-      detail::eval_gates3w_t<detail::ScalarBlock>(gn, gates, n, ones, zeros,
-                                                  words);
-      return;
-  }
-}
-
-void eval_gates3w(const GateNet& gn, const GateId* gates, std::size_t n,
-                  std::uint64_t* ones, std::uint64_t* zeros, unsigned words) {
-  eval_gates3w(gn, gates, n, ones, zeros, words, backend_for(words));
-}
-
 void clock_dffs3w(const GateNet& gn, std::uint64_t* ones, std::uint64_t* zeros,
                   unsigned words, std::vector<std::uint64_t>& scratch) {
   clock_dffsw(gn, ones, words, scratch);

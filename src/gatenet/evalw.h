@@ -1,7 +1,11 @@
 // Width-generic bit-parallel evaluation of a controller gate network.
 //
-// Generalizes gatenet/eval64 from one fixed 64-lane word to W = words * 64
-// lanes per gate (64 / 128 / ... / 512), stored gate-major:
+// Bit k of each lane word is an independent "lane": one pass simulates up
+// to W = words * 64 machines (64 / 128 / ... / 512) whose gate-level logic
+// is identical but whose inputs (CPI / STS / DFF state) differ per lane.
+// Per lane the semantics are exactly those of eval_cycle2 / clock_dffs2 /
+// load_reset2 (gatenet/eval3); tests/test_evalw.cpp cross-checks
+// lane-for-lane. Lane words are stored gate-major:
 //
 //   vals[g * words + w]   word w of gate g, bit k of word w = lane 64*w + k
 //
@@ -92,18 +96,6 @@ void eval_cycle3w(const GateNet& gn, std::uint64_t* ones, std::uint64_t* zeros,
                   unsigned words);
 void eval_cycle3w(const GateNet& gn, std::uint64_t* ones, std::uint64_t* zeros,
                   unsigned words, LaneBackend b);
-
-/// Cone-masked 01X evaluation: evaluate ONLY the listed gates, in the given
-/// order, over bit-pair planes. `gates` must be internally topologically
-/// ordered (every listed gate's listed fanins precede it); kVar / kDff /
-/// out-of-cone entries are left untouched, so callers can sweep just the
-/// fanout cone of a set of assigned literals instead of the whole network.
-/// The batched probe layer (src/solver/probe_batch) is the main consumer.
-void eval_gates3w(const GateNet& gn, const GateId* gates, std::size_t n,
-                  std::uint64_t* ones, std::uint64_t* zeros, unsigned words);
-void eval_gates3w(const GateNet& gn, const GateId* gates, std::size_t n,
-                  std::uint64_t* ones, std::uint64_t* zeros, unsigned words,
-                  LaneBackend b);
 
 /// Clock edge in place over both planes.
 void clock_dffs3w(const GateNet& gn, std::uint64_t* ones, std::uint64_t* zeros,

@@ -44,12 +44,6 @@ void eval_cycle3w_avx2(const GateNet& gn, std::uint64_t* ones,
   eval_cycle3w_t<Avx2Block>(gn, ones, zeros, words);
 }
 
-void eval_gates3w_avx2(const GateNet& gn, const GateId* gates, std::size_t n,
-                       std::uint64_t* ones, std::uint64_t* zeros,
-                       unsigned words) {
-  eval_gates3w_t<Avx2Block>(gn, gates, n, ones, zeros, words);
-}
-
 }  // namespace detail
 }  // namespace hltg
 

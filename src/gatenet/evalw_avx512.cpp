@@ -41,12 +41,6 @@ void eval_cycle3w_avx512(const GateNet& gn, std::uint64_t* ones,
   eval_cycle3w_t<Avx512Block>(gn, ones, zeros, words);
 }
 
-void eval_gates3w_avx512(const GateNet& gn, const GateId* gates, std::size_t n,
-                         std::uint64_t* ones, std::uint64_t* zeros,
-                         unsigned words) {
-  eval_gates3w_t<Avx512Block>(gn, gates, n, ones, zeros, words);
-}
-
 }  // namespace detail
 }  // namespace hltg
 

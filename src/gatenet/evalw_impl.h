@@ -186,26 +186,6 @@ void eval_cycle3w_t(const GateNet& gn, std::uint64_t* ones,
   }
 }
 
-template <class B>
-void eval_gates3w_t(const GateNet& gn, const GateId* gates, std::size_t n,
-                    std::uint64_t* ones, std::uint64_t* zeros,
-                    const unsigned words) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Gate& gate = gn.gate(gates[i]);
-    if (gate.kind == GateKind::kVar || gate.kind == GateKind::kDff) continue;
-    const GateId* fi = gate.fanin.data();
-    const unsigned nf = static_cast<unsigned>(gate.fanin.size());
-    const std::size_t at = std::size_t{gates[i]} * words;
-    unsigned w = 0;
-    for (; w + B::kWords <= words; w += B::kWords)
-      eval_gate3_block<B>(gate.kind, fi, nf, ones, zeros, ones + at + w,
-                          zeros + at + w, words, w);
-    for (; w < words; ++w)
-      eval_gate3_block<ScalarBlock>(gate.kind, fi, nf, ones, zeros,
-                                    ones + at + w, zeros + at + w, words, w);
-  }
-}
-
 // Instantiated per backend TU; the dispatcher in evalw.cpp routes to these.
 #if defined(HLTG_EVALW_HAVE_AVX2)
 void eval_cyclew_avx2(const GateNet& gn, std::uint64_t* vals, unsigned words);
@@ -213,9 +193,6 @@ void eval_gatew_avx2(const GateNet& gn, GateId g, std::uint64_t* vals,
                      unsigned words);
 void eval_cycle3w_avx2(const GateNet& gn, std::uint64_t* ones,
                        std::uint64_t* zeros, unsigned words);
-void eval_gates3w_avx2(const GateNet& gn, const GateId* gates, std::size_t n,
-                       std::uint64_t* ones, std::uint64_t* zeros,
-                       unsigned words);
 #endif
 #if defined(HLTG_EVALW_HAVE_AVX512)
 void eval_cyclew_avx512(const GateNet& gn, std::uint64_t* vals,
@@ -224,9 +201,6 @@ void eval_gatew_avx512(const GateNet& gn, GateId g, std::uint64_t* vals,
                        unsigned words);
 void eval_cycle3w_avx512(const GateNet& gn, std::uint64_t* ones,
                          std::uint64_t* zeros, unsigned words);
-void eval_gates3w_avx512(const GateNet& gn, const GateId* gates, std::size_t n,
-                         std::uint64_t* ones, std::uint64_t* zeros,
-                         unsigned words);
 #endif
 
 }  // namespace detail

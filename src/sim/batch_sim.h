@@ -19,7 +19,7 @@
 //
 // Per-lane semantics are exactly ProcSim + ArchTrace::diff; the equivalence
 // is cross-checked against the scalar `detects()` oracle in
-// tests/test_eval64.cpp and tests/test_evalw.cpp for all four error models.
+// tests/test_evalw.cpp for all four error models.
 #pragma once
 
 #include <cstdint>

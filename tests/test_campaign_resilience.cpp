@@ -211,6 +211,56 @@ TEST(FaultPlan, BudgetExhaustAndFallbackTagging) {
   EXPECT_NE(t.find("fallback"), std::string::npos);
 }
 
+TEST(FaultPlan, FallbackRescueCarriesPrimaryEffortAndPhaseTime) {
+  // The row a fallback rescues must charge the primary attempt's full
+  // effort - phase time included - so the Table-1 totals do not undercount.
+  CampaignFaultPlan faults;
+  CampaignFault& f = faults[0];
+  f.kind = CampaignFault::Kind::kForceAttempt;
+  f.attempt.abort = AbortReason::kBacktracks;
+  f.attempt.backtracks = 5;
+  f.attempt.decisions = 9;
+  f.attempt.implications = 40;
+  f.attempt.learned = 2;
+  f.attempt.nogood_hits = 3;
+  f.attempt.cache_hits = 1;
+  f.attempt.dptrace_ns = 1000;
+  f.attempt.ctrljust_ns = 20000;
+  f.attempt.dprelax_ns = 300000;
+  f.attempt.seconds = 0.25;
+  f.force_fallback = true;
+  f.fallback_attempt.generated = f.fallback_attempt.sim_confirmed = true;
+  f.fallback_attempt.test_length = 3;
+  f.fallback_attempt.dptrace_ns = 7;
+  f.fallback_attempt.ctrljust_ns = 70;
+  f.fallback_attempt.dprelax_ns = 700;
+  f.fallback_attempt.seconds = 0.5;
+
+  CampaignConfig cfg;
+  cfg.faults = &faults;
+  const std::vector<DesignError> errors = {ssl("ex.alu_add", 0, false)};
+  const CampaignResult res =
+      run_campaign(model().dp, errors, scripted_gen(), cfg);
+  ASSERT_EQ(res.rows.size(), 1u);
+  const ErrorAttempt& a = res.rows[0].attempt;
+  EXPECT_EQ(a.outcome(), AttemptOutcome::kDetectedFallback);
+  EXPECT_EQ(a.backtracks, 5u);
+  EXPECT_EQ(a.decisions, 9u);
+  EXPECT_EQ(a.implications, 40u);
+  EXPECT_EQ(a.learned, 2u);
+  EXPECT_EQ(a.nogood_hits, 3u);
+  EXPECT_EQ(a.cache_hits, 1u);
+  EXPECT_EQ(a.dptrace_ns, 1007u);
+  EXPECT_EQ(a.ctrljust_ns, 20070u);
+  EXPECT_EQ(a.dprelax_ns, 300700u);
+  EXPECT_DOUBLE_EQ(a.seconds, 0.75);
+  EXPECT_EQ(res.stats.dptrace_ns, 1007u);
+  EXPECT_EQ(res.stats.ctrljust_ns, 20070u);
+  EXPECT_EQ(res.stats.dprelax_ns, 300700u);
+  EXPECT_EQ(res.stats.implications, 40u);
+  EXPECT_DOUBLE_EQ(res.stats.cpu_seconds, 0.75);
+}
+
 TEST(FaultPlan, RealFallbackGeneratorRescuesBudgetAbort) {
   // Force the primary to "exhaust" on every error and let the real
   // biased-random baseline rescue what it can under its own budget.

@@ -2,6 +2,8 @@
 // end-to-end constraint solving on the DLX window.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/dprelax.h"
 #include "isa/encode.h"
 #include "util/word.h"
@@ -170,6 +172,13 @@ struct SweepCase {
   std::uint64_t value;
   unsigned cycle;
 };
+
+// gtest otherwise prints the raw bytes of the case - the `net` pointer and
+// padding - into every test ID, which then differs from build to build.
+void PrintTo(const SweepCase& sc, std::ostream* os) {
+  *os << sc.net << "=0x" << std::hex << sc.value << std::dec << ",c"
+      << sc.cycle;
+}
 
 class BacksolveSweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -1,9 +1,10 @@
 // Width-generic bit-parallel evaluation: lane-for-lane equivalence of the
 // evalw kernels (every compiled backend, every word count including
-// block+tail shapes) with the 64-lane kernel, the scalar 2-valued path and
-// the scalar 3-valued path - on random netlists and the real DLX
-// controller - plus width-invariance of the batched error detector and the
-// paired DPRELAX window capture.
+// block+tail shapes) with the scalar 2-valued and 3-valued paths - on
+// random netlists and the real DLX controller - plus the cached DFF list,
+// batch-vs-scalar parity and width-invariance of the batched error
+// detector across all four error models, and the paired DPRELAX window
+// capture.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -11,12 +12,16 @@
 #include <vector>
 
 #include "core/archstate.h"
+#include "core/tg.h"
+#include "errors/boe.h"
+#include "errors/bse.h"
 #include "errors/bus_ssl.h"
+#include "errors/mse.h"
 #include "gatenet/eval3.h"
-#include "gatenet/eval64.h"
 #include "gatenet/evalw.h"
 #include "isa/asm.h"
 #include "sim/batch_sim.h"
+#include "sim/cosim.h"
 #include "util/rng.h"
 
 namespace hltg {
@@ -25,6 +30,14 @@ namespace {
 const DlxModel& model() {
   static const DlxModel m = build_dlx();
   return m;
+}
+
+TestCase make_tc(const std::string& src) {
+  const AsmResult r = assemble(src);
+  EXPECT_TRUE(r.ok());
+  TestCase tc;
+  tc.imem = encode_program(r.program);
+  return tc;
 }
 
 /// Every backend this binary can actually run (scalar always; SIMD when
@@ -89,22 +102,30 @@ GateNet random_net(std::uint64_t seed, unsigned nvars, unsigned ngates,
 
 // ------------------------------------------------------------- 2-valued
 
+/// Lane `l`'s bit of gate `g` in gate-major lane words.
+bool lane2(const std::vector<std::uint64_t>& vw, GateId g, unsigned words,
+           unsigned l) {
+  return (vw[g * words + (l >> 6)] >> (l & 63)) & 1;
+}
+
 /// Drives `gn` for several clocked cycles at `words` lane words under
-/// backend `b`, checking every gate's every word against eval_cycle64 run
-/// independently per word.
+/// backend `b`, checking every gate of every lane against an independent
+/// scalar load_reset2 / eval_cycle2 / clock_dffs2 run of that lane.
 void check_2valued(const GateNet& gn, unsigned words, LaneBackend b,
                    std::uint64_t seed) {
+  const unsigned lanes = 64 * words;
   const std::vector<GateId> vars = gn.gates_of_kind(GateKind::kVar);
   Rng rng(seed);
 
   std::vector<std::uint64_t> vw;
   load_resetw(gn, vw, words);
   ASSERT_EQ(vw.size(), gn.num_gates() * words);
-  std::vector<std::vector<std::uint64_t>> v64(words);
-  for (auto& v : v64) load_reset64(gn, v);
+  std::vector<std::vector<bool>> ref(lanes);
+  for (auto& v : ref) load_reset2(gn, v);
   for (GateId g = 0; g < gn.num_gates(); ++g)
-    for (unsigned w = 0; w < words; ++w)
-      ASSERT_EQ(vw[g * words + w], v64[w][g]) << "reset, gate " << g;
+    for (unsigned l = 0; l < lanes; ++l)
+      ASSERT_EQ(lane2(vw, g, words, l), ref[l][g])
+          << "reset, gate " << g << " lane " << l;
 
   std::vector<std::uint64_t> scratch;
   for (int cycle = 0; cycle < 5; ++cycle) {
@@ -112,15 +133,15 @@ void check_2valued(const GateNet& gn, unsigned words, LaneBackend b,
       for (unsigned w = 0; w < words; ++w) {
         const std::uint64_t word = rng.next();
         vw[g * words + w] = word;
-        v64[w][g] = word;
+        for (unsigned k = 0; k < 64; ++k) ref[64 * w + k][g] = (word >> k) & 1;
       }
     eval_cyclew(gn, vw.data(), words, b);
-    for (unsigned w = 0; w < words; ++w) eval_cycle64(gn, v64[w]);
+    for (auto& v : ref) eval_cycle2(gn, v);
     for (GateId g = 0; g < gn.num_gates(); ++g)
-      for (unsigned w = 0; w < words; ++w)
-        ASSERT_EQ(vw[g * words + w], v64[w][g])
-            << "cycle " << cycle << " gate " << gn.gate(g).name << " word "
-            << w << " words=" << words << " backend=" << to_string(b);
+      for (unsigned l = 0; l < lanes; ++l)
+        ASSERT_EQ(lane2(vw, g, words, l), ref[l][g])
+            << "cycle " << cycle << " gate " << gn.gate(g).name << " lane "
+            << l << " words=" << words << " backend=" << to_string(b);
     // Single-gate entry point agrees with the full sweep.
     for (GateId g = 0; g < gn.num_gates(); ++g) {
       std::vector<std::uint64_t> copy = vw;
@@ -128,17 +149,20 @@ void check_2valued(const GateNet& gn, unsigned words, LaneBackend b,
       ASSERT_EQ(copy, vw) << "eval_gatew disturbed gate " << g;
     }
     clock_dffsw(gn, vw.data(), words, scratch);
-    for (unsigned w = 0; w < words; ++w) {
-      std::vector<std::uint64_t> next = v64[w];
-      clock_dffs64(gn, v64[w], next);
-      v64[w] = std::move(next);
+    for (auto& v : ref) {
+      std::vector<bool> next = v;
+      clock_dffs2(gn, v, next);
+      v = std::move(next);
     }
     for (GateId d : gn.dffs())
-      for (unsigned w = 0; w < words; ++w)
-        ASSERT_EQ(vw[d * words + w], v64[w][d]) << "clock, dff " << d;
+      for (unsigned l = 0; l < lanes; ++l)
+        ASSERT_EQ(lane2(vw, d, words, l), ref[l][d])
+            << "clock, dff " << d << " lane " << l;
   }
 }
 
+// The two tests below keep their historical names so their IDs stay stable;
+// the reference is the scalar 2-valued path above.
 TEST(Evalw, MatchesEval64OnRandomNets) {
   for (std::uint64_t seed : {11u, 22u, 33u}) {
     const GateNet gn = random_net(seed, 6, 40, 5);
@@ -153,9 +177,28 @@ TEST(Evalw, MatchesEval64OnDlxController) {
       check_2valued(model().ctrl, words, b, 0x515);
 }
 
+// One lane word (64 lanes) is the shape of the former 64-lane kernel; these
+// two tests keep that kernel's test IDs.
+TEST(Eval64, ResetMatchesScalar) {
+  const GateNet& gn = model().ctrl;
+  std::vector<std::uint64_t> v64;
+  load_resetw(gn, v64, 1);
+  std::vector<bool> v2;
+  load_reset2(gn, v2);
+  ASSERT_EQ(v64.size(), v2.size());
+  for (GateId g = 0; g < gn.num_gates(); ++g) {
+    // Every lane carries the same reset state.
+    EXPECT_EQ(v64[g], v2[g] ? ~std::uint64_t{0} : 0) << gn.gate(g).name;
+  }
+}
+
+TEST(Eval64, LaneForLaneMatchesScalarOverRandomCycles) {
+  check_2valued(model().ctrl, 1, backend_for(1), 0x515);
+}
+
 TEST(Evalw, LaneForLaneMatchesScalarOnDlx) {
-  // Direct scalar cross-check (not via eval64): 256 lanes of the real
-  // controller against 256 independent eval_cycle2 runs.
+  // 256 lanes of the real controller under the auto-dispatched backend
+  // against 256 independent eval_cycle2 runs.
   const GateNet& gn = model().ctrl;
   const unsigned words = 4, lanes = 256;
   const std::vector<GateId> vars = gn.gates_of_kind(GateKind::kVar);
@@ -188,6 +231,24 @@ TEST(Evalw, LaneForLaneMatchesScalarOnDlx) {
       v = std::move(next);
     }
   }
+}
+
+TEST(GateNetCache, DffListMatchesScanAndIsInvalidated) {
+  const GateNet& gn = model().ctrl;
+  EXPECT_EQ(gn.dffs(), gn.gates_of_kind(GateKind::kDff));
+  // Cached: repeated calls return the same storage.
+  EXPECT_EQ(&gn.dffs(), &gn.dffs());
+
+  GateNet small;
+  Gate var;
+  var.kind = GateKind::kVar;
+  const GateId v = small.add_gate(var);
+  EXPECT_TRUE(small.dffs().empty());
+  Gate dff;
+  dff.kind = GateKind::kDff;
+  dff.fanin = {v};
+  small.add_gate(dff);  // add_gate invalidates the caches
+  EXPECT_EQ(small.dffs().size(), 1u);
 }
 
 // ---------------------------------------------------------- 01X bit-pair
@@ -300,6 +361,134 @@ TEST(EvalwDispatch, ResolveLanesPrecedenceAndClamp) {
   EXPECT_GE(autow, 64u);
   EXPECT_LE(autow, kMaxLanes);
   EXPECT_EQ(autow % 64, 0u);
+}
+
+// --------------------------------------------------- batched error detect
+
+void expect_batch_matches_scalar(const std::vector<DesignError>& errs,
+                                 const TestCase& tc) {
+  std::vector<const DesignError*> ptrs;
+  ptrs.reserve(errs.size());
+  for (const DesignError& e : errs) ptrs.push_back(&e);
+
+  BatchDetectConfig scalar;
+  scalar.force_scalar = true;
+  const std::vector<bool> ref = detect_errors(model(), tc, ptrs, scalar);
+  const std::vector<bool> got = detect_errors(model(), tc, ptrs);
+  ASSERT_EQ(ref.size(), got.size());
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    EXPECT_EQ(ref[i], got[i]) << errs[i].describe(model().dp);
+
+  // Chunk width must not matter (7 lanes forces many partial batches).
+  BatchDetectConfig narrow;
+  narrow.max_lanes = 7;
+  EXPECT_EQ(detect_errors(model(), tc, ptrs, narrow), ref);
+}
+
+std::vector<DesignError> head(std::vector<DesignError> v, std::size_t n) {
+  if (v.size() > n) v.resize(n);
+  return v;
+}
+
+TestCase alu_program() {
+  TestCase tc = make_tc(
+      "addi r1, r0, 3\n"
+      "addi r2, r0, 5\n"
+      "add r3, r1, r2\n"
+      "sub r4, r3, r1\n"
+      "and r5, r3, r2\n"
+      "or r6, r1, r2\n"
+      "xor r7, r3, r4\n"
+      "sw 0x40(r0), r3\n"
+      "sw 0x44(r0), r7\n"
+      "lw r8, 0x40(r0)\n"
+      "add r9, r8, r6\n"
+      "sw 0x48(r0), r9\n");
+  tc.rf_init[10] = 0xDEADBEEFu;
+  return tc;
+}
+
+TestCase branch_program() {
+  return make_tc(
+      "addi r1, r0, 1\n"
+      "addi r10, r0, 7\n"
+      "beqz r1, skip\n"
+      "addi r10, r10, 1\n"
+      "skip: bnez r1, taken\n"
+      "addi r10, r10, 32\n"
+      "taken: add r11, r10, r1\n"
+      "sw 0x50(r0), r11\n"
+      "sw 0x54(r0), r10\n");
+}
+
+TEST(BatchDetect, MatchesScalarOnSslPopulation) {
+  // > 64 errors so the sweep spans multiple 64-lane batches.
+  const auto errs = head(wrap(enumerate_bus_ssl(model().dp)), 80);
+  ASSERT_GT(errs.size(), 64u);
+  expect_batch_matches_scalar(errs, alu_program());
+  expect_batch_matches_scalar(errs, branch_program());
+}
+
+TEST(BatchDetect, MatchesScalarOnMse) {
+  const std::vector<Stage> stages = {Stage::kEX, Stage::kMEM, Stage::kWB};
+  const auto errs = head(wrap(enumerate_mse(model().dp, stages)), 48);
+  ASSERT_FALSE(errs.empty());
+  expect_batch_matches_scalar(errs, alu_program());
+}
+
+TEST(BatchDetect, MatchesScalarOnBoe) {
+  const std::vector<Stage> stages = {Stage::kEX, Stage::kMEM, Stage::kWB};
+  const auto errs = head(wrap(enumerate_boe(model().dp, stages)), 48);
+  ASSERT_FALSE(errs.empty());
+  expect_batch_matches_scalar(errs, alu_program());
+}
+
+TEST(BatchDetect, MatchesScalarOnBse) {
+  const auto errs = head(wrap(enumerate_bse(model().dp)), 48);
+  ASSERT_FALSE(errs.empty());
+  expect_batch_matches_scalar(errs, branch_program());
+}
+
+TEST(BatchDetect, MatchesScalarOnGeneratedTest) {
+  // A directed test from the real generator, swept over a mixed population.
+  const NetId net = model().dp.find_net("ex.alu_add");
+  ASSERT_NE(net, kNoNet);
+  DesignError target{BusSslError{net, 0, false}};
+  TestGenerator tg(model());
+  const TgResult r = tg.generate(target);
+  ASSERT_EQ(r.status, TgStatus::kSuccess) << r.note;
+
+  std::vector<DesignError> errs = head(wrap(enumerate_bus_ssl(model().dp)), 40);
+  const auto bse = head(wrap(enumerate_bse(model().dp)), 20);
+  errs.insert(errs.end(), bse.begin(), bse.end());
+  expect_batch_matches_scalar(errs, r.test);
+}
+
+TEST(BatchDrop, DroppingCampaignAgreesWithScalarDetector) {
+  // The dropping engine must compact identically whether the oracle is the
+  // batched simulator or the serial per-error cosim.
+  const auto some = head(wrap(enumerate_bus_ssl(model().dp)), 24);
+  const DetectFn scalar = [](const TestCase& tc, const DesignError& e) {
+    return detects(model(), tc, e.injection());
+  };
+  TestGenerator tg1(model());
+  const CampaignResult a = run_campaign_with_dropping(
+      model().dp, some, tg1.budgeted_strategy(), batch_from_scalar(scalar),
+      CampaignConfig{});
+  TestGenerator tg2(model());
+  const CampaignResult b = run_campaign_with_dropping(
+      model().dp, some, tg2.budgeted_strategy(), batch_detector(model()),
+      CampaignConfig{});
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.tests_kept, b.tests_kept);
+  EXPECT_EQ(a.stats.detected, b.stats.detected);
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    EXPECT_EQ(a.rows[i].error.describe(model().dp),
+              b.rows[i].error.describe(model().dp));
+    EXPECT_EQ(a.rows[i].attempt.detected(), b.rows[i].attempt.detected());
+  }
+  EXPECT_GT(a.dropped, 0u);
 }
 
 // --------------------------------------------- width-invariant detection

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "baseline/random_tg.h"
+#include "core/tg.h"
 #include "errors/journal.h"
 #include "errors/parallel_campaign.h"
 #include "isa/testcase_io.h"
@@ -319,6 +320,45 @@ TEST(Triage, CrossConfigRetryRecoversTheRow) {
   EXPECT_EQ(bundles, 1);
   EXPECT_FALSE(a.incident_test.imem.empty());  // bogus witness preserved
   EXPECT_NE(a.note.find("claim mismatch"), std::string::npos);
+}
+
+TEST(Triage, RecoveredRowCarriesRefutedAttemptPhaseTime) {
+  const std::vector<DesignError> errors = {ssl("ex.alu_add", 0, false)};
+  CampaignFaultPlan faults;
+  faults[0].kind = CampaignFault::Kind::kForceAttempt;
+  ErrorAttempt bogus = bogus_attempt();
+  bogus.backtracks = 4;
+  bogus.decisions = 6;
+  bogus.dptrace_ns = 1000;
+  bogus.ctrljust_ns = 20000;
+  bogus.dprelax_ns = 300000;
+  faults[0].attempt = bogus;
+
+  CampaignConfig cfg;
+  cfg.faults = &faults;
+  cfg.triage.verify = true;
+  cfg.triage.oracle = scalar_oracle(model());
+  TestGenerator tg(model());
+  const BudgetedGenFn rescue = tg.budgeted_strategy();
+  ErrorAttempt rescuer;
+  cfg.triage.cross_gen = [&](const DesignError& e, Budget& b) {
+    rescuer = rescue(e, b);
+    return rescuer;
+  };
+
+  const CampaignResult res =
+      run_campaign(model().dp, errors, giveup_gen(), cfg);
+  ASSERT_EQ(res.rows.size(), 1u);
+  const ErrorAttempt& a = res.rows[0].attempt;
+  ASSERT_TRUE(a.recovered);
+  EXPECT_EQ(a.backtracks, rescuer.backtracks + 4);
+  EXPECT_EQ(a.decisions, rescuer.decisions + 6);
+  EXPECT_EQ(a.dptrace_ns, rescuer.dptrace_ns + 1000);
+  EXPECT_EQ(a.ctrljust_ns, rescuer.ctrljust_ns + 20000);
+  EXPECT_EQ(a.dprelax_ns, rescuer.dprelax_ns + 300000);
+  EXPECT_EQ(res.stats.dptrace_ns, a.dptrace_ns);
+  EXPECT_EQ(res.stats.ctrljust_ns, a.ctrljust_ns);
+  EXPECT_EQ(res.stats.dprelax_ns, a.dprelax_ns);
 }
 
 TEST(Triage, OracleFailureKeepsClaimStanding) {

@@ -29,15 +29,8 @@ import sys
 # Lower is better; a rise beyond tolerance is a hot-path regression.
 TG_GUARDED_COUNTERS = ("decisions", "backtracks", "dptrace_expansions",
                        "nogood_comparisons")
-TG_CONFIGS = ("engine_off", "no_reuse", "engine_on", "probe_batch",
-              "campaign_scope", "warm_start", "campaign_shard")
-
-# Batched probing must buy a real search-effort win: engine_on must spend at
-# least this many times more decisions + backtracks than probe_batch on the
-# same error set, with identical detection outcomes (the outcome checks
-# above make any divergence fatal). The reduction is algorithmic - a pure
-# function of model and config - so the floor holds on any machine.
-MIN_PROBE_EFFORT_REDUCTION = 1.5
+TG_CONFIGS = ("engine_off", "no_reuse", "engine_on", "campaign_scope",
+              "warm_start", "campaign_shard")
 
 CAMPAIGN_WIDTHS = (64, 256, 512)
 CAMPAIGN_GUARDED_COUNTERS = ("batches", "controller_passes", "gate_evals")
@@ -76,27 +69,8 @@ def check_tg(cur, base, tolerance, failures):
         for key in TG_GUARDED_COUNTERS:
             check_counter(failures, f"{cfg}.{key}", c.get(key), b.get(key),
                           tolerance)
-
-    on, probe = cur.get("engine_on"), cur.get("probe_batch")
-    reduction = None
-    if isinstance(on, dict) and isinstance(probe, dict):
-        on_effort = (on.get("decisions") or 0) + (on.get("backtracks") or 0)
-        probe_effort = ((probe.get("decisions") or 0) +
-                        (probe.get("backtracks") or 0))
-        reduction = on_effort / probe_effort if probe_effort else None
-        if reduction is None:
-            failures.append("probe_batch: zero decisions + backtracks - "
-                            "report is malformed")
-        elif reduction < MIN_PROBE_EFFORT_REDUCTION:
-            failures.append(
-                f"probe_batch: effort reduction {reduction:.2f}x below the "
-                f"{MIN_PROBE_EFFORT_REDUCTION:.1f}x floor vs engine_on "
-                f"({on_effort} -> {probe_effort} decisions + backtracks) - "
-                "batched probing is not pruning the search")
     return (f"{len(TG_CONFIGS)} configs x {len(TG_GUARDED_COUNTERS)} "
-            f"counters within {tolerance:.0%} of baseline, probe effort "
-            f"reduction "
-            f"{f'{reduction:.2f}x' if reduction is not None else 'n/a'}")
+            f"counters within {tolerance:.0%} of baseline")
 
 
 def check_campaign(cur, base, tolerance, failures):
