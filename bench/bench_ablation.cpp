@@ -58,7 +58,8 @@ int main() {
                "backtracks", "seconds"});
   for (const Row& row : rows) {
     TestGenerator tg(m, row.cfg);
-    const CampaignResult res = run_campaign(m.dp, errors, tg.strategy());
+    const CampaignResult res =
+        run_campaign(m.dp, errors, tg.budgeted_strategy());
     t.add_row({row.name, std::to_string(res.stats.detected),
                std::to_string(res.stats.aborted),
                fmt_double(res.stats.avg_test_length, 1),

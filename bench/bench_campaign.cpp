@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   std::printf("bench_campaign: %zu SSL errors, %u jobs, %u hardware threads\n",
               errors.size(), jobs, std::thread::hardware_concurrency());
 
-  // --- serial campaign (one generator, one thread) ----------------------
+  // --- one-job engine (one generator, calling thread) -------------------
   double t0 = now_seconds();
   TestGenerator tg(m);
   const CampaignResult serial =

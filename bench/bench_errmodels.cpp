@@ -19,18 +19,18 @@ int main() {
   TestGenerator tg(m);
 
   const auto mse = wrap(enumerate_mse(m.dp, stages));
-  const CampaignResult rm = run_campaign(m.dp, mse, tg.strategy());
+  const CampaignResult rm = run_campaign(m.dp, mse, tg.budgeted_strategy());
   std::printf("%s\n",
               rm.stats.table1("Module substitution errors (MSE)").c_str());
 
   const auto boe = wrap(enumerate_boe(m.dp, stages));
-  const CampaignResult rb = run_campaign(m.dp, boe, tg.strategy());
+  const CampaignResult rb = run_campaign(m.dp, boe, tg.budgeted_strategy());
   std::printf("%s\n", rb.stats.table1("Bus order errors (BOE)").c_str());
 
   BseConfig bse_cfg;
   bse_cfg.stages = stages;
   const auto bse = wrap(enumerate_bse(m.dp, bse_cfg));
-  const CampaignResult rs = run_campaign(m.dp, bse, tg.strategy());
+  const CampaignResult rs = run_campaign(m.dp, bse, tg.budgeted_strategy());
   std::printf("%s\n", rs.stats.table1("Bus source errors (BSE)").c_str());
 
   TextTable t({"error model", "errors", "detected", "coverage %"});
@@ -40,7 +40,7 @@ int main() {
   };
   row("bus SSL (Table 1 model)", [&] {
     const auto ssl = wrap(enumerate_bus_ssl(m.dp));
-    return run_campaign(m.dp, ssl, tg.strategy()).stats;
+    return run_campaign(m.dp, ssl, tg.budgeted_strategy()).stats;
   }());
   row("MSE", rm.stats);
   row("BOE", rb.stats);

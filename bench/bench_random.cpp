@@ -28,8 +28,8 @@ int main() {
   for (unsigned budget : {1u, 2u, 4u, 8u, 16u}) {
     RandomTgConfig cfg = base;
     cfg.max_programs_per_error = budget;
-    auto strat = random_strategy(m, cfg);
-    const CampaignResult res = run_campaign(m.dp, errors, strat);
+    const CampaignResult res =
+        run_campaign(m.dp, errors, random_budgeted_strategy(m, cfg));
     t.add_row({"random (len 20)", std::to_string(budget) + " programs",
                std::to_string(res.stats.detected),
                fmt_double(100.0 * res.stats.detected / res.stats.total, 1),
@@ -37,7 +37,8 @@ int main() {
   }
 
   TestGenerator tg(m);
-  const CampaignResult dres = run_campaign(m.dp, errors, tg.strategy());
+  const CampaignResult dres =
+      run_campaign(m.dp, errors, tg.budgeted_strategy());
   t.add_row({"directed (this paper)", "1 targeted search",
              std::to_string(dres.stats.detected),
              fmt_double(100.0 * dres.stats.detected / dres.stats.total, 1),

@@ -21,7 +21,8 @@
 using namespace hltg;
 
 int main(int argc, char** argv) {
-  const bool verbose = argc > 1 && std::string(argv[1]) == "-v";
+  CampaignConfig ccfg;
+  ccfg.verbose = argc > 1 && std::string(argv[1]) == "-v";
   std::printf("== E1: Table 1 - bus SSL errors in EX/MEM/WB of DLX ==\n\n");
 
   const DlxModel m = build_dlx();
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
 
   TestGenerator tg(m);
   const CampaignResult res =
-      run_campaign(m.dp, errors, tg.strategy(), verbose);
+      run_campaign(m.dp, errors, tg.budgeted_strategy(), ccfg);
 
   std::printf("%s\n",
               res.stats.table1("Table 1 (this reproduction)").c_str());

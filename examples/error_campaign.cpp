@@ -13,13 +13,18 @@
 //   $ ./error_campaign [--stages ...] [--model ...] --replay test.txt
 //                      --replay-error N --expect detected|undetected
 //
+// The campaign flags (--model, --stages, the budget caps, --fallback,
+// --solver, --solver-scope, --drop, --jobs, --lanes) go through the parser
+// tg_client uses into a RequestSpec; plan_request validates it and
+// run_campaign_plan runs it, exactly as the tg_server daemon does.
+//
 // Resilience controls (docs/ROBUSTNESS.md): --deadline-ms / --max-* arm a
-// per-error budget; --fallback retries budget-exhausted errors with the
-// biased-random baseline generator; --journal checkpoints one fsync'd JSONL
-// row per error so an interrupted run restarted with --resume reproduces
-// the identical summary; Ctrl-C (or SIGTERM) cancels cooperatively (the
-// current error finishes and is journaled before the partial summary
-// prints).
+// per-error budget (0 = no cap); --fallback retries budget-exhausted
+// errors with the biased-random baseline generator; --journal checkpoints
+// one fsync'd JSONL row per error so an interrupted run restarted with
+// --resume reproduces the identical summary; Ctrl-C (or SIGTERM) cancels
+// cooperatively (the current error finishes and is journaled before the
+// partial summary prints).
 //
 // Self-checking controls (docs/ROBUSTNESS.md "Self-checking and triage"):
 // --verify-witness re-validates every detection claim through an
@@ -48,10 +53,12 @@
 // and DPRELAX memo alive across the whole error population instead of
 // resetting them per error (docs/SOLVER.md has the determinism argument:
 // outcomes, witnesses and emitted tests stay identical to error scope;
-// effort counters drop - that is the reuse). With --jobs > 1 the parallel
-// engine shards errors round-robin per worker (deterministic for any N)
-// and the workers exchange learned netlist-level nogoods through a shared
-// board between errors.
+// effort counters drop - that is the reuse). With --jobs > 1 the engine
+// shards errors round-robin per worker and the workers exchange learned
+// netlist-level nogoods through a shared board between errors. Outcomes,
+// witnesses and emitted tests stay the same for any N; the effort counters
+// and a --store file do not repeat run over run, because what a worker
+// imports depends on when the others publish.
 //
 // --store FILE persists the campaign-scope deduction state across process
 // lifetimes (docs/ROBUSTNESS.md "Persisted deduction store"): loaded -
@@ -65,20 +72,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "baseline/random_tg.h"
-#include "core/tg.h"
-#include "errors/parallel_campaign.h"
 #include "errors/redundancy.h"
 #include "errors/report.h"
 #include "isa/testcase_io.h"
-#include "sim/batch_sim.h"
-#include "solver/nogood_board.h"
+#include "service/service.h"
 #include "solver/store.h"
 #include "triage/triage.h"
 #include "triage/witness_check.h"
@@ -88,32 +89,6 @@
 using namespace hltg;
 
 namespace {
-
-std::vector<Stage> parse_stages(const std::string& s) {
-  std::vector<Stage> out;
-  if (s.find("IF") != std::string::npos) out.push_back(Stage::kIF);
-  if (s.find("ID") != std::string::npos) out.push_back(Stage::kID);
-  if (s.find("EX") != std::string::npos) out.push_back(Stage::kEX);
-  if (s.find("MEM") != std::string::npos) out.push_back(Stage::kMEM);
-  if (s.find("WB") != std::string::npos) out.push_back(Stage::kWB);
-  return out;
-}
-
-std::string stages_to_string(const std::vector<Stage>& stages) {
-  std::string out;
-  for (Stage s : stages) {
-    if (!out.empty()) out += ',';
-    switch (s) {
-      case Stage::kIF: out += "IF"; break;
-      case Stage::kID: out += "ID"; break;
-      case Stage::kEX: out += "EX"; break;
-      case Stage::kMEM: out += "MEM"; break;
-      case Stage::kWB: out += "WB"; break;
-      default: break;  // kGlobal never comes from parse_stages
-    }
-  }
-  return out;
-}
 
 CancelToken g_cancel;
 extern "C" void on_sigint(int) { g_cancel.request_stop(); }
@@ -161,17 +136,9 @@ int run_replay(const DlxModel& m, const std::vector<DesignError>& errors,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<Stage> stages = {Stage::kEX, Stage::kMEM, Stage::kWB};
-  std::string emodel = "ssl";
+  RequestSpec spec;  // what the campaign computes
+  CampaignConfig ccfg;  // how it is watched and stopped
   std::string csv_path, save_dir;
-  CampaignConfig ccfg;
-  bool use_fallback = false;
-  unsigned fallback_tries = 64;
-  unsigned jobs = 1;
-  bool use_drop = false;
-  unsigned lanes = 0;  // --drop batch width; 0 = resolve_lanes() auto
-  bool use_solver = true;
-  SolverScope scope = SolverScope::kError;
   bool verify_witness = false;
   bool minimize = false;
   std::string quarantine_dir;
@@ -180,64 +147,23 @@ int main(int argc, char** argv) {
   std::size_t replay_error = 0;
   bool have_replay_error = false;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--stages") && i + 1 < argc)
-      stages = parse_stages(argv[++i]);
-    else if (!std::strcmp(argv[i], "--model") && i + 1 < argc)
-      emodel = argv[++i];
-    else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc)
+    std::string flag_error;
+    if (parse_request_flag(argc, argv, &i, &spec, &flag_error)) {
+      if (!flag_error.empty()) {
+        std::fprintf(stderr, "%s\n", flag_error.c_str());
+        return 1;
+      }
+    } else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc)
       csv_path = argv[++i];
     else if (!std::strcmp(argv[i], "--save-tests") && i + 1 < argc)
       save_dir = argv[++i];
-    else if (!std::strcmp(argv[i], "--deadline-ms") && i + 1 < argc)
-      ccfg.budget.deadline_seconds = std::atof(argv[++i]) / 1000.0;
-    else if (!std::strcmp(argv[i], "--max-backtracks") && i + 1 < argc)
-      ccfg.budget.max_backtracks =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    else if (!std::strcmp(argv[i], "--max-decisions") && i + 1 < argc)
-      ccfg.budget.max_decisions =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    else if (!std::strcmp(argv[i], "--fallback")) {
-      use_fallback = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-')
-        fallback_tries = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (!std::strcmp(argv[i], "--journal") && i + 1 < argc)
+    else if (!std::strcmp(argv[i], "--journal") && i + 1 < argc)
       ccfg.journal_path = argv[++i];
     else if (!std::strcmp(argv[i], "--resume"))
       ccfg.resume = true;
     else if (!std::strcmp(argv[i], "--resume=strict")) {
       ccfg.resume = true;
       ccfg.resume_strict = true;
-    }
-    else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-      jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    else if (!std::strcmp(argv[i], "--drop"))
-      use_drop = true;
-    else if (!std::strcmp(argv[i], "--lanes") && i + 1 < argc)
-      lanes = static_cast<unsigned>(std::atoi(argv[++i]));
-    else if (!std::strcmp(argv[i], "--solver") && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "on")
-        use_solver = true;
-      else if (v == "off")
-        use_solver = false;
-      else {
-        std::fprintf(stderr, "--solver takes 'on' or 'off', not '%s'\n",
-                     v.c_str());
-        return 1;
-      }
-    }
-    else if (!std::strcmp(argv[i], "--solver-scope") && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "error")
-        scope = SolverScope::kError;
-      else if (v == "campaign")
-        scope = SolverScope::kCampaign;
-      else {
-        std::fprintf(stderr,
-                     "--solver-scope takes 'error' or 'campaign', not '%s'\n",
-                     v.c_str());
-        return 1;
-      }
     }
     else if (!std::strcmp(argv[i], "--store") && i + 1 < argc)
       store_path = argv[++i];
@@ -263,19 +189,11 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (stages.empty()) {
-    std::fprintf(stderr, "no valid stages\n");
-    return 1;
-  }
   if (ccfg.resume && ccfg.journal_path.empty()) {
     std::fprintf(stderr, "--resume requires --journal\n");
     return 1;
   }
-  if (use_drop && jobs > 1) {
-    std::fprintf(stderr, "--drop and --jobs are mutually exclusive\n");
-    return 1;
-  }
-  if (!store_path.empty() && scope != SolverScope::kCampaign) {
+  if (!store_path.empty() && spec.solver_scope != "campaign") {
     std::fprintf(stderr, "--store requires --solver-scope campaign (a "
                  "per-error-scope context has nothing to persist)\n");
     return 1;
@@ -322,64 +240,31 @@ int main(int argc, char** argv) {
   }
 
   const DlxModel m = build_dlx();
-  std::vector<DesignError> errors;
-  if (emodel == "ssl") {
-    BusSslConfig cfg;
-    cfg.stages = stages;
-    errors = wrap(enumerate_bus_ssl(m.dp, cfg));
-  } else if (emodel == "mse") {
-    errors = wrap(enumerate_mse(m.dp, stages));
-  } else if (emodel == "boe") {
-    errors = wrap(enumerate_boe(m.dp, stages));
-  } else if (emodel == "bse") {
-    BseConfig cfg;
-    cfg.stages = stages;
-    errors = wrap(enumerate_bse(m.dp, cfg));
-  } else {
-    std::fprintf(stderr, "unknown error model '%s'\n", emodel.c_str());
+  const RequestPlan plan = plan_request(m, spec);
+  if (!plan.ok()) {
+    std::fprintf(stderr, "%s\n", plan.error.c_str());
     return 1;
   }
   if (!replay_path.empty())
-    return run_replay(m, errors, replay_path, replay_error,
+    return run_replay(m, plan.errors, replay_path, replay_error,
                       expect == "detected");
-  std::printf("error model %s, %zu errors\n", emodel.c_str(), errors.size());
+  std::printf("error model %s, %zu errors\n", spec.model.c_str(),
+              plan.errors.size());
 
   std::signal(SIGINT, on_sigint);
   std::signal(SIGTERM, on_sigint);  // orchestrators kill politely too
   ccfg.cancel = &g_cancel;
   ccfg.budget.cancel = &g_cancel;
-  if (use_fallback) {
-    RandomTgConfig rcfg;
-    rcfg.max_programs_per_error = fallback_tries;
-    ccfg.fallback = random_budgeted_strategy(m, rcfg);
-    ccfg.fallback_budget = ccfg.budget;  // same deadline/caps per attempt
-  }
 
-  TgConfig tgcfg;
-  tgcfg.solver.enable = use_solver;
-  tgcfg.solver.scope = scope;
-
-  // Provenance stamps: recorded in the journal header and the store meta
-  // record, validated on --resume and on store load so deduction state is
-  // never replayed against a different design or solver configuration.
-  ccfg.design_hash = tg_design_hash(m);
-  ccfg.solver_config_hash = tg_config_hash(tgcfg);
-
-  // Cross-worker nogood exchange for the sharded campaign scope: workers
-  // publish learned netlist-level cuts between errors and import the
-  // others' via epoch-published read-only snapshots.
-  NogoodBoard board;
-  if (scope == SolverScope::kCampaign && jobs > 1)
-    tgcfg.solver.shared_board = &board;
-
-  // Warm start: load the persisted deduction store (validated against the
-  // stamps above). A missing or empty file is a cold start; a mismatched
-  // or unreadable one is a hard error - silently searching cold after the
-  // user asked for a warm start would hide the problem.
+  // Warm start: load the persisted deduction store, validated against the
+  // plan's provenance stamps (the same ones the journal header records). A
+  // missing or empty file is a cold start; a mismatched or unreadable one
+  // is a hard error - silently searching cold after the user asked for a
+  // warm start would hide the problem.
   DedSnapshot warm;
   if (!store_path.empty() && store_existed) {
     DedStoreLoad load =
-        load_ded_store(store_path, ccfg.design_hash, ccfg.solver_config_hash);
+        load_ded_store(store_path, plan.design_hash, plan.config_hash);
     if (!load.ok) {
       std::fprintf(stderr, "--store %s: %s\n", store_path.c_str(),
                    load.note.c_str());
@@ -397,77 +282,25 @@ int main(int argc, char** argv) {
     topt.verify = true;
     topt.minimize = minimize;
     topt.quarantine_dir = quarantine_dir;
-    topt.repro_flags =
-        "--model " + emodel + " --stages " + stages_to_string(stages);
-    topt.cross_config = tgcfg;
-    topt.cross_config.solver.enable = !use_solver;  // the other search
-    topt.cross_config.solver.shared_board = nullptr;  // oracle stays cold
+    topt.repro_flags = "--model " + spec.model + " --stages " + spec.stages;
+    topt.cross_config = plan.tgcfg;
+    topt.cross_config.solver.enable = !spec.solver;  // the other search
     ccfg.triage = make_triage(m, topt);
   }
 
   const bool persist = !store_path.empty();
   DedSnapshot saved;  // merged deduction state persisted after the campaign
-  CampaignResult res;
-  if (use_drop) {
-    TestGenerator tg(m, tgcfg);
-    if (!warm.empty()) import_context(warm, &tg.solver_context());
-    BatchDetectConfig bcfg;
-    bcfg.max_lanes = lanes;  // 0 = resolve_lanes (CPUID auto / HLTG_LANES)
-    res = run_campaign_with_dropping(m.dp, errors, tg.budgeted_strategy(),
-                                     batch_detector(m, bcfg), ccfg);
-    if (persist) saved = export_context(tg.solver_context());
-  } else if (jobs > 1) {
-    // Workers share the model read-only; materialise its lazy caches before
-    // handing out const refs.
-    m.ctrl.warm_caches();
-    m.dp.topo_order();
-    ParallelCampaignConfig pcfg;
-    static_cast<CampaignConfig&>(pcfg) = ccfg;
-    pcfg.jobs = jobs;
-    if (use_fallback) {
-      RandomTgConfig rcfg;
-      rcfg.max_programs_per_error = fallback_tries;
-      pcfg.fallback = nullptr;  // replaced by per-worker instances
-      pcfg.fallback_factory = [&m, rcfg](unsigned) {
-        return random_budgeted_strategy(m, rcfg);
-      };
-    }
-    // Keep each worker's generator reachable so its deduction state can be
-    // exported after the pool joins (merged in worker-id order: the saved
-    // store must be reproducible).
-    std::mutex gen_mu;
-    std::vector<std::shared_ptr<TestGenerator>> worker_gens(jobs);
-    res = run_campaign_parallel(
-        m.dp, errors,
-        [&](unsigned w) {
-          auto tg = std::make_shared<TestGenerator>(m, tgcfg);
-          if (!warm.empty()) import_context(warm, &tg->solver_context());
-          {
-            std::lock_guard<std::mutex> lk(gen_mu);
-            worker_gens[w] = tg;
-          }
-          BudgetedGenFn s = tg->budgeted_strategy();
-          return [tg, s](const DesignError& e, Budget& b) { return s(e, b); };
-        },
-        pcfg);
-    std::printf("ran on %u worker threads\n", jobs);
-    if (persist)
-      for (const auto& tg : worker_gens)
-        if (tg) saved.merge(export_context(tg->solver_context()));
-  } else {
-    TestGenerator tg(m, tgcfg);
-    if (!warm.empty()) import_context(warm, &tg.solver_context());
-    res = run_campaign(m.dp, errors, tg.budgeted_strategy(), ccfg);
-    if (persist) saved = export_context(tg.solver_context());
-  }
+  const CampaignResult res = run_campaign_plan(
+      m, plan, ccfg, &warm, persist ? &saved : nullptr);
+  if (plan.jobs > 1) std::printf("ran on %u worker threads\n", plan.jobs);
   if (res.resume_refused) {
     std::fprintf(stderr, "journal: %s\n", res.journal_note.c_str());
     return 1;
   }
   if (persist) {
     DedStoreMeta meta;
-    meta.design_hash = ccfg.design_hash;
-    meta.config_hash = ccfg.solver_config_hash;
+    meta.design_hash = plan.design_hash;
+    meta.config_hash = plan.config_hash;
     std::string swhy;
     if (save_ded_store(store_path, meta, saved, &swhy))
       std::printf("store: saved %zu deductions to %s\n", saved.entries(),
@@ -476,7 +309,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "store: save failed: %s (next run starts cold)\n",
                    swhy.c_str());
   }
-  if (use_drop)
+  if (plan.drop)
     std::printf("dropping: kept %zu tests, dropped %zu errors (%.2f s error "
                 "simulation)\n",
                 res.tests_kept, res.dropped, res.dropping_seconds);
@@ -532,7 +365,7 @@ int main(int argc, char** argv) {
   // Post-mortem on aborted errors: separate provable redundancy (constant
   // or unobservable line - the same proofs as bench_table1) from genuine
   // generator give-ups.
-  if (emodel == "ssl" && !res.interrupted) {
+  if (spec.model == "ssl" && !res.interrupted) {
     const BitConstants bc = analyze_bit_constants(m.dp);
     const ObservableBits ob = analyze_observable_bits(m.dp);
     std::size_t redundant = 0;

@@ -4,11 +4,11 @@
 //   $ ./tg_client --socket /tmp/tg.sock --cancel ID
 //   $ ./tg_client --socket /tmp/tg.sock --stats | --ping | --shutdown
 //
-// Request flags mirror error_campaign where they overlap: --model
-// ssl|mse|boe|bse, --stages EX,MEM,WB, --deadline-ms N,
+// Request flags share error_campaign's grammar (parse_request_flag):
+// --model ssl|mse|boe|bse, --stages EX,MEM,WB, --deadline-ms N,
 // --max-backtracks N, --max-decisions N, --fallback [tries], --solver
-// on|off, --solver-scope error|campaign, --drop, --jobs N, --lanes N,
-// --window N, --retry-window N, --tag S. --subscribe streams per-error
+// on|off, --solver-scope error|campaign, --drop, --jobs N, --lanes N; and
+// the client adds --window N, --retry-window N, --tag S. --subscribe streams per-error
 // progress rows to stderr as they complete. The result CSV goes to stdout
 // (or --csv FILE); the ack line (request id + cache key) and the summary
 // go to stderr.
@@ -195,7 +195,13 @@ int main(int argc, char** argv) {
   int timeout_ms = 0;
   RequestSpec spec;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--socket") && i + 1 < argc)
+    std::string flag_error;
+    if (parse_request_flag(argc, argv, &i, &spec, &flag_error)) {
+      if (!flag_error.empty()) {
+        std::fprintf(stderr, "%s\n", flag_error.c_str());
+        return kExitTerminal;
+      }
+    } else if (!std::strcmp(argv[i], "--socket") && i + 1 < argc)
       socket_path = argv[++i];
     else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc)
       csv_path = argv[++i];
@@ -214,30 +220,6 @@ int main(int argc, char** argv) {
       op = "ping";
     else if (!std::strcmp(argv[i], "--shutdown"))
       op = "shutdown";
-    else if (!std::strcmp(argv[i], "--model") && i + 1 < argc)
-      spec.model = argv[++i];
-    else if (!std::strcmp(argv[i], "--stages") && i + 1 < argc)
-      spec.stages = argv[++i];
-    else if (!std::strcmp(argv[i], "--deadline-ms") && i + 1 < argc)
-      spec.deadline_ms = std::atof(argv[++i]);
-    else if (!std::strcmp(argv[i], "--max-backtracks") && i + 1 < argc)
-      spec.max_backtracks = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    else if (!std::strcmp(argv[i], "--max-decisions") && i + 1 < argc)
-      spec.max_decisions = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    else if (!std::strcmp(argv[i], "--fallback")) {
-      spec.fallback = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-')
-        spec.fallback_tries = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (!std::strcmp(argv[i], "--solver") && i + 1 < argc)
-      spec.solver = !std::strcmp(argv[++i], "on");
-    else if (!std::strcmp(argv[i], "--solver-scope") && i + 1 < argc)
-      spec.solver_scope = argv[++i];
-    else if (!std::strcmp(argv[i], "--drop"))
-      spec.drop = true;
-    else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-      spec.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    else if (!std::strcmp(argv[i], "--lanes") && i + 1 < argc)
-      spec.lanes = static_cast<unsigned>(std::atoi(argv[++i]));
     else if (!std::strcmp(argv[i], "--window") && i + 1 < argc)
       spec.window = static_cast<unsigned>(std::atoi(argv[++i]));
     else if (!std::strcmp(argv[i], "--retry-window") && i + 1 < argc)

@@ -89,53 +89,37 @@ TestCase random_test(Rng& rng, const RandomTgConfig& cfg) {
   return tc;
 }
 
-namespace {
-
-ErrorAttempt random_attempt(const DlxModel& m, const RandomTgConfig& cfg,
-                            const DesignError& err, Budget* budget) {
-  ErrorAttempt a;
-  Rng rng(cfg.seed ^ (static_cast<std::uint64_t>(err.site_net(m.dp)) << 17));
-  const auto t0 = std::chrono::steady_clock::now();
-  for (unsigned k = 0; k < cfg.max_programs_per_error; ++k) {
-    if (budget) {
-      const AbortReason why = budget->exhausted();
+BudgetedGenFn random_budgeted_strategy(const DlxModel& m, RandomTgConfig cfg) {
+  return [&m, cfg](const DesignError& err, Budget& budget) {
+    ErrorAttempt a;
+    Rng rng(cfg.seed ^
+            (static_cast<std::uint64_t>(err.site_net(m.dp)) << 17));
+    const auto t0 = std::chrono::steady_clock::now();
+    for (unsigned k = 0; k < cfg.max_programs_per_error; ++k) {
+      const AbortReason why = budget.exhausted();
       if (why != AbortReason::kNone) {
         a.abort = why;
         a.note = "budget: " + std::string(to_string(why));
         break;
       }
+      const TestCase tc = random_test(rng, cfg);
+      if (detects(m, tc, err.injection())) {
+        a.generated = true;
+        a.sim_confirmed = true;
+        a.test = tc;
+        a.test_length = static_cast<unsigned>(tc.imem.size());
+        break;
+      }
+      // Each candidate program costs one "decision" against the budget's
+      // caps, so max_decisions bounds the fallback's volume of simulation.
+      budget.charge_decisions(1);
     }
-    const TestCase tc = random_test(rng, cfg);
-    if (detects(m, tc, err.injection())) {
-      a.generated = true;
-      a.sim_confirmed = true;
-      a.test = tc;
-      a.test_length = static_cast<unsigned>(tc.imem.size());
-      break;
-    }
-    // Each candidate program costs one "decision" against the budget's
-    // caps, so max_decisions bounds the fallback's volume of simulation.
-    if (budget) budget->charge_decisions(1);
-  }
-  a.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (!a.generated && a.note.empty())
-    a.note = "no random program detected the error";
-  return a;
-}
-
-}  // namespace
-
-TestGenFn random_strategy(const DlxModel& m, RandomTgConfig cfg) {
-  return [&m, cfg](const DesignError& err) {
-    return random_attempt(m, cfg, err, nullptr);
-  };
-}
-
-BudgetedGenFn random_budgeted_strategy(const DlxModel& m, RandomTgConfig cfg) {
-  return [&m, cfg](const DesignError& err, Budget& budget) {
-    return random_attempt(m, cfg, err, &budget);
+    a.seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (!a.generated && a.note.empty())
+      a.note = "no random program detected the error";
+    return a;
   };
 }
 

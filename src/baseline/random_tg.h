@@ -30,13 +30,12 @@ struct RandomTgConfig {
 /// Generate one random test case.
 TestCase random_test(Rng& rng, const RandomTgConfig& cfg);
 
-/// Campaign strategy: for each error, try up to max_programs_per_error
-/// random programs; first one whose dual simulation mismatches wins.
-TestGenFn random_strategy(const DlxModel& m, RandomTgConfig cfg = {});
-
-/// Budget-aware variant (the campaign's graceful-degradation fallback):
-/// polls the budget between candidate programs, so a deadline, cap, or
-/// cancellation ends the attempt promptly with the abort reason recorded.
+/// Campaign strategy (also the campaign's graceful-degradation fallback):
+/// for each error, try up to max_programs_per_error random programs; first
+/// one whose dual simulation mismatches wins. Polls the budget between
+/// candidate programs, so a deadline, cap, or cancellation ends the attempt
+/// promptly with the abort reason recorded. A pure function of the error
+/// (its Rng is seeded from the error site), hence thread-safe.
 BudgetedGenFn random_budgeted_strategy(const DlxModel& m,
                                        RandomTgConfig cfg = {});
 

@@ -457,16 +457,6 @@ ErrorAttempt to_attempt(const TgResult& r, double seconds) {
 }
 }  // namespace
 
-TestGenFn TestGenerator::strategy() {
-  return [this](const DesignError& err) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const TgResult r = generate(err);
-    return to_attempt(
-        r, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-               .count());
-  };
-}
-
 BudgetedGenFn TestGenerator::budgeted_strategy() {
   return [this](const DesignError& err, Budget& budget) {
     const auto t0 = std::chrono::steady_clock::now();

@@ -108,11 +108,9 @@ class TestGenerator {
   TgResult generate_with_window(const DesignError& err, unsigned window,
                                 Budget* budget = nullptr);
 
-  /// Adapter for the campaign driver.
-  TestGenFn strategy();
-
-  /// Budget-aware adapter: the campaign arms one fresh Budget per error and
-  /// passes it in; the attempt records the structured abort reason.
+  /// Adapter for the campaign driver: the campaign arms one fresh Budget
+  /// per error and passes it in; the attempt records the structured abort
+  /// reason.
   BudgetedGenFn budgeted_strategy();
 
   /// Last-resort templates for errors in the control-transfer path (branch

@@ -11,12 +11,6 @@
 
 namespace hltg {
 
-BudgetedGenFn ignore_budget(TestGenFn gen) {
-  return [gen = std::move(gen)](const DesignError& err, Budget&) {
-    return gen(err);
-  };
-}
-
 std::string CampaignStats::table1(const std::string& title) const {
   TextTable t({title, "value"});
   t.add_kv("No. of errors", std::to_string(total));
@@ -73,17 +67,7 @@ void CampaignStats::add_attempt(const ErrorAttempt& a,
   if (a.recovered) ++verify_recovered;
   if (a.outcome() == AttemptOutcome::kClaimMismatch) {
     ++claim_mismatch;
-    implications += a.implications;
-    learned += a.learned;
-    nogood_hits += a.nogood_hits;
-    cache_hits += a.cache_hits;
-    dptrace_ns += a.dptrace_ns;
-    ctrljust_ns += a.ctrljust_ns;
-    dprelax_ns += a.dprelax_ns;
-    cpu_seconds += a.seconds;
-    return;
-  }
-  if (a.detected()) {
+  } else if (a.detected()) {
     ++detected;
     if (a.via_fallback)
       ++detected_fallback;
@@ -138,16 +122,6 @@ void add_effort(ErrorAttempt* to, const ErrorAttempt& from) {
   to->dptrace_ns += from.dptrace_ns;
   to->ctrljust_ns += from.ctrljust_ns;
   to->dprelax_ns += from.dprelax_ns;
-}
-
-const char* outcome_tag(const ErrorAttempt& a) {
-  switch (a.outcome()) {
-    case AttemptOutcome::kDetectedDeterministic: return "det ";
-    case AttemptOutcome::kDetectedFallback: return "fbk ";
-    case AttemptOutcome::kAborted: return "abrt";
-    case AttemptOutcome::kClaimMismatch: return "mism";
-  }
-  return "?";
 }
 
 /// Self-checking cross-check (docs/ROBUSTNESS.md): re-validate a detection
@@ -310,6 +284,23 @@ ErrorAttempt attempt_one_error(const DesignError& err, std::size_t index,
   return fb;
 }
 
+void print_row(const Netlist& nl, const DesignError& err,
+               const ErrorAttempt& a) {
+  const char* tag = "?";
+  switch (a.outcome()) {
+    case AttemptOutcome::kDetectedDeterministic: tag = "det "; break;
+    case AttemptOutcome::kDetectedFallback: tag = "fbk "; break;
+    case AttemptOutcome::kAborted: tag = "abrt"; break;
+    case AttemptOutcome::kClaimMismatch: tag = "mism"; break;
+  }
+  std::fprintf(stderr, "  [%s] %s%s", tag, err.describe(nl).c_str(),
+               a.note.empty() ? "" : ("  (" + a.note + ")").c_str());
+  if (a.dptrace_ns || a.ctrljust_ns || a.dprelax_ns)
+    std::fprintf(stderr, "  [trace %.2fms just %.2fms relax %.2fms]",
+                 a.dptrace_ns / 1e6, a.ctrljust_ns / 1e6, a.dprelax_ns / 1e6);
+  std::fprintf(stderr, "\n");
+}
+
 void record_incident(CampaignResult* res, const CampaignConfig& cfg,
                      std::size_t index, const DesignError& err,
                      const ErrorAttempt& a) {
@@ -318,73 +309,6 @@ void record_incident(CampaignResult* res, const CampaignConfig& cfg,
     if (!note.empty()) res->incident_notes.push_back(note);
   }
   ++res->incidents;
-}
-
-CampaignResult run_campaign(const Netlist& nl,
-                            const std::vector<DesignError>& errors,
-                            const BudgetedGenFn& gen,
-                            const CampaignConfig& cfg) {
-  CampaignResult res;
-  res.stats.total = errors.size();
-  std::uint64_t length_sum = 0;
-
-  JournalSession journal;
-  journal.open(nl, errors, cfg.journal_path, cfg.resume,
-               cfg.journal_fsync_interval, cfg.design_hash,
-               cfg.solver_config_hash, cfg.resume_strict);
-  res.journal_note = journal.note;
-  if (journal.refused) {
-    res.resume_refused = true;
-    res.interrupted = true;
-    return res;
-  }
-
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    if (cfg.cancel && cfg.cancel->stop_requested()) {
-      res.interrupted = true;
-      break;
-    }
-    const DesignError& err = errors[i];
-    ErrorAttempt a;
-    if (const auto it = journal.replay.find(i); it != journal.replay.end()) {
-      a = it->second;
-      ++res.resumed_rows;
-    } else {
-      a = attempt_one_error(err, i, gen, cfg);
-      if (journal.writer.is_open())
-        journal.writer.append_line(journal_row_line(i, a));
-      if (a.incident()) record_incident(&res, cfg, i, err, a);
-    }
-    res.stats.add_attempt(a, &length_sum);
-    if (cfg.verbose) {
-      std::fprintf(stderr, "  [%s] %s%s", outcome_tag(a),
-                   err.describe(nl).c_str(),
-                   a.note.empty() ? "" : ("  (" + a.note + ")").c_str());
-      if (a.dptrace_ns || a.ctrljust_ns || a.dprelax_ns)
-        std::fprintf(stderr, "  [trace %.2fms just %.2fms relax %.2fms]",
-                     a.dptrace_ns / 1e6, a.ctrljust_ns / 1e6,
-                     a.dprelax_ns / 1e6);
-      std::fprintf(stderr, "\n");
-    }
-    res.rows.push_back({err, std::move(a)});
-  }
-  if (res.stats.detected > 0)
-    res.stats.avg_test_length =
-        static_cast<double>(length_sum) / res.stats.detected;
-  res.tests_kept = res.stats.detected;
-  if (!journal.writer.error().empty()) {
-    if (!res.journal_note.empty()) res.journal_note += "; ";
-    res.journal_note += journal.writer.error();
-  }
-  return res;
-}
-
-CampaignResult run_campaign(const Netlist& nl,
-                            const std::vector<DesignError>& errors,
-                            const TestGenFn& gen, bool verbose) {
-  CampaignConfig cfg;
-  cfg.verbose = verbose;
-  return run_campaign(nl, errors, ignore_budget(gen), cfg);
 }
 
 BatchDetectFn batch_from_scalar(DetectFn detect) {
@@ -510,10 +434,7 @@ CampaignResult run_campaign_with_dropping(
       ++res.tests_kept;
       drop_pass(i, a.test);
     }
-    if (cfg.verbose)
-      std::fprintf(stderr, "  [%s] %s%s\n", outcome_tag(a),
-                   errors[i].describe(nl).c_str(),
-                   a.note.empty() ? "" : ("  (" + a.note + ")").c_str());
+    if (cfg.verbose) print_row(nl, errors[i], a);
     res.rows.push_back({errors[i], std::move(a)});
   }
   if (res.tests_kept > 0)
@@ -524,15 +445,6 @@ CampaignResult run_campaign_with_dropping(
     res.journal_note += journal.writer.error();
   }
   return res;
-}
-
-CampaignResult run_campaign_with_dropping(
-    const Netlist& nl, const std::vector<DesignError>& errors,
-    const TestGenFn& gen, const DetectFn& detect, bool verbose) {
-  CampaignConfig cfg;
-  cfg.verbose = verbose;
-  return run_campaign_with_dropping(nl, errors, ignore_budget(gen),
-                                    batch_from_scalar(detect), cfg);
 }
 
 }  // namespace hltg

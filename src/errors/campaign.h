@@ -126,16 +126,11 @@ struct ErrorAttempt {
   }
 };
 
-/// Strategy callback: produce a test for one error (or report failure).
-using TestGenFn = std::function<ErrorAttempt(const DesignError&)>;
-
-/// Budget-aware strategy: the campaign arms one fresh Budget per error
+/// Strategy callback: the campaign arms one fresh Budget per error
 /// (deadline relative to the attempt's start) and passes it in; the
-/// strategy polls it and reports the structured abort reason.
+/// strategy polls it and reports the structured abort reason. A default
+/// CampaignConfig arms an unlimited Budget, which never fires.
 using BudgetedGenFn = std::function<ErrorAttempt(const DesignError&, Budget&)>;
-
-/// Adapt a budget-unaware legacy strategy.
-BudgetedGenFn ignore_budget(TestGenFn gen);
 
 struct CampaignRow {
   DesignError error;
@@ -187,9 +182,9 @@ struct CampaignStats {
 
   std::string table1(const std::string& title) const;  ///< Table-1 format
 
-  /// Fold one attempt into the tallies (shared by the serial, parallel and
-  /// dropping engines so the three can never diverge). `length_sum`
-  /// accumulates detected test lengths for the avg_test_length finish-up.
+  /// Fold one attempt into the tallies (shared by the sharded and dropping
+  /// engines so the two can never diverge). `length_sum` accumulates
+  /// detected test lengths for the avg_test_length finish-up.
   void add_attempt(const ErrorAttempt& a, std::uint64_t* length_sum);
 };
 
@@ -311,16 +306,16 @@ struct CampaignConfig {
 
 /// One error through the resilient pipeline: fault hook, primary generator
 /// under its budget, exception capture, graceful degradation. Shared by the
-/// serial loop, the dropping loop, and the parallel worker pool
-/// (errors/parallel_campaign); thread-safe as long as `gen`, the fallback,
-/// and the fault plan are (the campaign engines guarantee one generator
-/// instance per worker).
+/// dropping loop and the sharded worker pool (errors/parallel_campaign);
+/// thread-safe as long as `gen`, the fallback, the triage callables and the
+/// fault plan are (the sharded engine builds one generator per worker; the
+/// fallback and triage callables are shared).
 ErrorAttempt attempt_one_error(const DesignError& err, std::size_t index,
                                const BudgetedGenFn& gen,
                                const CampaignConfig& cfg);
 
 /// Record (and, when a writer is configured, emit) one quarantine incident.
-/// Shared by the three campaign engines, which call it in error-index order
+/// Shared by the two campaign engines, which call it in error-index order
 /// from the aggregation thread - incident numbering is therefore
 /// deterministic for any --jobs value. Replayed (resumed) rows are never
 /// re-bundled; only fresh attempts reach this.
@@ -328,15 +323,18 @@ void record_incident(CampaignResult* res, const CampaignConfig& cfg,
                      std::size_t index, const DesignError& err,
                      const ErrorAttempt& a);
 
+/// The `-v` line of one campaign row: outcome tag, error, note and (for
+/// instrumented strategies) the DPTRACE / CTRLJUST / DPRELAX phase times.
+/// Both engines print through it from their aggregation loop.
+void print_row(const Netlist& nl, const DesignError& err,
+               const ErrorAttempt& a);
+
+/// The sharded engine (errors/parallel_campaign) at one job, on the calling
+/// thread: `gen` needs no thread safety.
 CampaignResult run_campaign(const Netlist& nl,
                             const std::vector<DesignError>& errors,
                             const BudgetedGenFn& gen,
-                            const CampaignConfig& cfg);
-
-/// Legacy entry point: unbudgeted, unjournaled.
-CampaignResult run_campaign(const Netlist& nl,
-                            const std::vector<DesignError>& errors,
-                            const TestGenFn& gen, bool verbose = false);
+                            const CampaignConfig& cfg = {});
 
 /// Batched detection oracle: out[i] iff `test` detects errors[i]. The
 /// bit-parallel implementation (sim/batch_sim: one controller evaluation
@@ -364,11 +362,6 @@ BatchDetectFn batch_from_scalar(DetectFn detect);
 CampaignResult run_campaign_with_dropping(
     const Netlist& nl, const std::vector<DesignError>& errors,
     const BudgetedGenFn& gen, const BatchDetectFn& detect,
-    const CampaignConfig& cfg);
-
-/// Legacy entry point: unbudgeted, unjournaled, scalar detection.
-CampaignResult run_campaign_with_dropping(
-    const Netlist& nl, const std::vector<DesignError>& errors,
-    const TestGenFn& gen, const DetectFn& detect, bool verbose = false);
+    const CampaignConfig& cfg = {});
 
 }  // namespace hltg

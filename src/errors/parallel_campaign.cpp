@@ -1,7 +1,6 @@
 #include "errors/parallel_campaign.h"
 
 #include <condition_variable>
-#include <cstdio>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -17,17 +16,14 @@ GenFactory shared_gen(BudgetedGenFn gen) {
   return [gen = std::move(gen)](unsigned) { return gen; };
 }
 
-namespace {
-
-const char* outcome_tag(const ErrorAttempt& a) {
-  switch (a.outcome()) {
-    case AttemptOutcome::kDetectedDeterministic: return "det ";
-    case AttemptOutcome::kDetectedFallback: return "fbk ";
-    case AttemptOutcome::kAborted: return "abrt";
-    case AttemptOutcome::kClaimMismatch: return "mism";
-  }
-  return "?";
+CampaignResult run_campaign(const Netlist& nl,
+                            const std::vector<DesignError>& errors,
+                            const BudgetedGenFn& gen,
+                            const CampaignConfig& cfg) {
+  return run_campaign_parallel(nl, errors, shared_gen(gen), {cfg, 1});
 }
+
+namespace {
 
 enum : unsigned char { kPending = 0, kFresh = 1, kReplayed = 2 };
 
@@ -75,9 +71,9 @@ CampaignResult run_campaign_parallel(const Netlist& nl,
   // Deterministic sharding: worker w owns the pending positions p with
   // p % jobs == w, walked in ascending order. Unlike work stealing, the
   // error sequence each worker sees is a pure function of (campaign,
-  // jobs), which makes per-worker deduction state (campaign-scope
-  // SolverContext) reproducible run over run. Aggregation below stays
-  // index-ordered, so rows and stats remain jobs-independent as before.
+  // jobs); without cross-worker nogood exchange, so is its campaign-scope
+  // deduction state. Aggregation below stays index-ordered, so rows and
+  // stats remain jobs-independent.
   std::mutex journal_mu;
   std::mutex note_mu;
   // Orphan adoption: when a worker's generator factory fails, its shard
@@ -91,12 +87,11 @@ CampaignResult run_campaign_parallel(const Netlist& nl,
   unsigned factories_resolved = 0;
   std::vector<unsigned> orphan_shards;
 
-  auto run_shard = [&](unsigned shard, const BudgetedGenFn& gen,
-                       const CampaignConfig& wcfg) {
+  auto run_shard = [&](unsigned shard, const BudgetedGenFn& gen) {
     for (std::size_t p = shard; p < pending.size(); p += jobs) {
       if (cfg.cancel && cfg.cancel->stop_requested()) return;
       const std::size_t i = pending[p];
-      ErrorAttempt a = attempt_one_error(errors[i], i, gen, wcfg);
+      ErrorAttempt a = attempt_one_error(errors[i], i, gen, cfg);
       {
         std::lock_guard<std::mutex> lk(journal_mu);
         if (journal.writer.is_open())
@@ -108,12 +103,10 @@ CampaignResult run_campaign_parallel(const Netlist& nl,
   };
 
   auto worker = [&](unsigned w) {
-    CampaignConfig wcfg = cfg;  // slice: per-worker view of the shared knobs
     BudgetedGenFn gen;
     bool available = true;
     try {
       gen = make_gen(w);
-      if (cfg.fallback_factory) wcfg.fallback = cfg.fallback_factory(w);
     } catch (const std::exception& e) {
       available = false;
       std::lock_guard<std::mutex> lk(note_mu);
@@ -129,7 +122,7 @@ CampaignResult run_campaign_parallel(const Netlist& nl,
     shard_cv.notify_all();
     if (!available) return;  // survivors adopt this worker's shard
 
-    run_shard(w, gen, wcfg);
+    run_shard(w, gen);
 
     std::unique_lock<std::mutex> lk(shard_mu);
     shard_cv.wait(lk, [&] { return factories_resolved == jobs; });
@@ -137,7 +130,7 @@ CampaignResult run_campaign_parallel(const Netlist& nl,
       const unsigned orphan = orphan_shards.front();
       orphan_shards.erase(orphan_shards.begin());
       lk.unlock();
-      run_shard(orphan, gen, wcfg);
+      run_shard(orphan, gen);
       lk.lock();
     }
   };
@@ -167,10 +160,7 @@ CampaignResult run_campaign_parallel(const Netlist& nl,
     if (state[i] == kFresh && a.incident())
       record_incident(&res, cfg, i, errors[i], a);
     res.stats.add_attempt(a, &length_sum);
-    if (cfg.verbose)
-      std::fprintf(stderr, "  [%s] %s%s\n", outcome_tag(a),
-                   errors[i].describe(nl).c_str(),
-                   a.note.empty() ? "" : ("  (" + a.note + ")").c_str());
+    if (cfg.verbose) print_row(nl, errors[i], a);
     res.rows.push_back({errors[i], std::move(a)});
   }
   res.interrupted = completed < errors.size();

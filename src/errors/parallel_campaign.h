@@ -1,6 +1,9 @@
-// Parallel campaign engine: a fixed-size worker pool runs the resilient
-// per-error pipeline (errors/campaign.h: budgets, fallback, fault hooks,
-// exception capture) over the error population concurrently.
+// Sharded campaign engine, the one general campaign engine: a fixed-size
+// worker pool runs the resilient per-error pipeline (errors/campaign.h:
+// budgets, fallback, fault hooks, exception capture) over the error
+// population concurrently. At one job it runs on the calling thread
+// (run_campaign); only error dropping, which is sequential by nature, has
+// its own loop (run_campaign_with_dropping).
 //
 // Determinism contract: for a deterministic generator, CampaignResult.rows
 // and .stats are identical for any --jobs value. Workers only *compute*
@@ -8,11 +11,14 @@
 // happens on the calling thread in error-index order after the pool joins.
 // Work distribution is deterministic round-robin sharding: worker w runs
 // the pending errors at positions p with p % jobs == w, in ascending
-// order. Each worker's error sequence - and therefore any per-worker
-// carried deduction state (campaign-scope SolverContext) - is a pure
-// function of (campaign, jobs), reproducible run over run. Each attempt
-// remains a pure function of (error, per-error budget, per-worker
-// generator); generators are constructed per worker from a factory.
+// order, so each worker's error sequence is a pure function of (campaign,
+// jobs). Each attempt remains a pure function of (error, per-error budget,
+// per-worker generator); generators are constructed per worker from a
+// factory. What a campaign-scope worker learns is reproducible only
+// without cross-worker exchange: with a NogoodBoard (campaign scope at
+// jobs > 1) a worker imports whatever the others published so far, so
+// effort counters and the persisted deduction store vary run over run,
+// while outcomes, witnesses and emitted tests do not.
 // If a worker's factory throws, its shard is not lost: once every factory
 // outcome is known, surviving workers adopt orphaned shards whole (each
 // adopted by exactly one survivor). Outcomes stay identical on that path;
@@ -42,14 +48,14 @@ namespace hltg {
 /// thread-compatible (no shared mutable state with other workers').
 using GenFactory = std::function<BudgetedGenFn(unsigned worker)>;
 
+/// Every worker reads the one shared CampaignConfig, so with jobs > 1 its
+/// callables - the fallback generator, the triage oracle, cross-config
+/// generator and minimizer - must be thread-safe (a pure function of the
+/// error, as random_budgeted_strategy is). The bundle writer runs on the
+/// aggregation thread only.
 struct ParallelCampaignConfig : CampaignConfig {
-  /// Worker threads. 0 or 1 runs the pool with a single worker (results are
-  /// identical either way; use run_campaign for the no-thread path).
+  /// Worker threads. 0 or 1 runs a single worker on the calling thread.
   unsigned jobs = 1;
-  /// Per-worker fallback generators (same contract as GenFactory). When
-  /// set, overrides the shared CampaignConfig::fallback, which with the
-  /// pool would have to be thread-safe.
-  GenFactory fallback_factory;
 };
 
 /// Adapt a single shared generator known to be thread-safe (e.g. a pure
@@ -57,8 +63,8 @@ struct ParallelCampaignConfig : CampaignConfig {
 GenFactory shared_gen(BudgetedGenFn gen);
 
 /// Run the campaign on `cfg.jobs` workers. Aggregated result is
-/// index-ordered and (for deterministic generators) byte-identical to
-/// run_campaign's. Honors the full CampaignConfig including journal resume.
+/// index-ordered and (for deterministic generators) identical for any
+/// `jobs`. Honors the full CampaignConfig including journal resume.
 CampaignResult run_campaign_parallel(const Netlist& nl,
                                      const std::vector<DesignError>& errors,
                                      const GenFactory& make_gen,

@@ -1,6 +1,7 @@
 #include "service/request.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "errors/boe.h"
@@ -70,6 +71,52 @@ ParsedRequest parse_request(const MiniJson& j) {
   j.get_string("tag", &s.tag);
   out.ok = true;
   return out;
+}
+
+bool parse_request_flag(int argc, const char* const* argv, int* i,
+                        RequestSpec* spec, std::string* error) {
+  const std::string flag = argv[*i];
+  if (flag == "--drop") {
+    spec->drop = true;
+    return true;
+  }
+  if (flag == "--fallback") {
+    spec->fallback = true;
+    if (*i + 1 < argc && argv[*i + 1][0] != '-')
+      spec->fallback_tries = static_cast<unsigned>(std::atoi(argv[++*i]));
+    return true;
+  }
+  if (*i + 1 >= argc) return false;
+  const std::string v = argv[*i + 1];
+  if (flag == "--model") {
+    spec->model = v;
+  } else if (flag == "--stages") {
+    spec->stages = v;
+  } else if (flag == "--deadline-ms") {
+    spec->deadline_ms = std::atof(v.c_str());
+  } else if (flag == "--max-backtracks") {
+    spec->max_backtracks = std::strtoull(v.c_str(), nullptr, 10);
+  } else if (flag == "--max-decisions") {
+    spec->max_decisions = std::strtoull(v.c_str(), nullptr, 10);
+  } else if (flag == "--solver") {
+    if (v == "on" || v == "off")
+      spec->solver = v == "on";
+    else
+      *error = "--solver takes 'on' or 'off', not '" + v + "'";
+  } else if (flag == "--solver-scope") {
+    if (v == "error" || v == "campaign")
+      spec->solver_scope = v;
+    else
+      *error = "--solver-scope takes 'error' or 'campaign', not '" + v + "'";
+  } else if (flag == "--jobs") {
+    spec->jobs = static_cast<unsigned>(std::atoi(v.c_str()));
+  } else if (flag == "--lanes") {
+    spec->lanes = static_cast<unsigned>(std::atoi(v.c_str()));
+  } else {
+    return false;
+  }
+  ++*i;
+  return true;
 }
 
 std::string request_fields_json(const RequestSpec& s) {

@@ -67,6 +67,18 @@ struct ParsedRequest {
 /// checks that need the design.
 ParsedRequest parse_request(const MiniJson& j);
 
+/// The command-line grammar of the request flags error_campaign and
+/// tg_client share: --model M, --stages S, --deadline-ms N,
+/// --max-backtracks N, --max-decisions N (0 = no cap, as for the
+/// deadline), --fallback [tries], --solver on|off,
+/// --solver-scope error|campaign, --drop, --jobs N, --lanes N. When
+/// argv[*i] is one of them, stores it in `spec`, advances *i past its
+/// value and returns true; a malformed value sets `*error`. Returns false,
+/// touching nothing, for any other argument (or a value-taking flag with no
+/// value left).
+bool parse_request_flag(int argc, const char* const* argv, int* i,
+                        RequestSpec* spec, std::string* error);
+
 /// Serialize `spec` as the JSON fields of a submit line (client side).
 /// Deterministic field order; defaults are emitted explicitly so a logged
 /// request line is self-contained.

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include "errors/report.h"
 #include "sim/batch_sim.h"
 #include "solver/nogood_board.h"
+#include "solver/store.h"
 #include "util/minijson.h"
 
 namespace hltg {
@@ -29,7 +31,8 @@ extern "C" void worker_on_term(int) {
 /// Recover the attempted/detected counters from a cached CSV payload so a
 /// cache-served outcome summarises like the fresh run it replays. One data
 /// row per attempted error; the outcome column (third field) starts with
-/// "detected" for the detected ones.
+/// "detected" for the detected ones. Errors dropped by error simulation
+/// have no row; the caller adds them to `detected`.
 void count_csv_rows(const std::string& csv, std::size_t* attempted,
                     std::size_t* detected) {
   std::size_t pos = csv.find('\n');  // skip the header line
@@ -55,48 +58,72 @@ void count_csv_rows(const std::string& csv, std::size_t* attempted,
   }
 }
 
+/// What a flight hands run_campaign_plan: how the run is watched and
+/// stopped. Everything the campaign computes comes from the plan.
+CampaignConfig flight_config(const std::string& journal_path,
+                             const CancelToken* cancel) {
+  CampaignConfig ccfg;
+  ccfg.journal_path = journal_path;
+  ccfg.budget.cancel = cancel;
+  ccfg.cancel = cancel;
+  return ccfg;
+}
+
 }  // namespace
 
 CampaignResult run_campaign_plan(const DlxModel& m, const RequestPlan& plan,
-                                 const CampaignConfig& ccfg) {
-  const TgConfig& tgcfg = plan.tgcfg;
+                                 const CampaignConfig& ccfg,
+                                 const DedSnapshot* warm, DedSnapshot* saved) {
+  ParallelCampaignConfig cfg;
+  static_cast<CampaignConfig&>(cfg) = ccfg;
+  cfg.jobs = plan.jobs;
+  cfg.budget = plan.budget;
+  cfg.budget.cancel = ccfg.budget.cancel;
+  cfg.fallback = nullptr;
+  if (plan.fallback) {
+    // A pure function of the error, so all workers share the one instance.
+    RandomTgConfig rcfg;
+    rcfg.max_programs_per_error = plan.fallback_tries;
+    cfg.fallback = random_budgeted_strategy(m, rcfg);
+  }
+  cfg.fallback_budget = cfg.budget;  // same deadline/caps per attempt
+  cfg.design_hash = plan.design_hash;
+  cfg.solver_config_hash = plan.config_hash;
+
+  // Cross-worker nogood exchange for the sharded campaign scope: workers
+  // publish learned netlist-level cuts between errors and import the
+  // others' via epoch-published read-only snapshots.
+  TgConfig tgcfg = plan.tgcfg;
+  NogoodBoard board;
+  if (plan.jobs > 1 && tgcfg.solver.scope == SolverScope::kCampaign)
+    tgcfg.solver.shared_board = &board;
+
+  // Workers share the model read-only: materialise its lazy caches before
+  // handing out const refs.
+  m.ctrl.warm_caches();
+  m.dp.topo_order();
+
+  // One generator per worker, kept past the run so its deduction state can
+  // be exported. Each worker writes only its own slot.
+  std::vector<std::unique_ptr<TestGenerator>> gens(std::max(plan.jobs, 1u));
+  const GenFactory make_gen = [&](unsigned w) {
+    gens[w] = std::make_unique<TestGenerator>(m, tgcfg);
+    if (warm) import_context(*warm, &gens[w]->solver_context());
+    return gens[w]->budgeted_strategy();
+  };
+  CampaignResult res;
   if (plan.drop) {
-    TestGenerator tg(m, tgcfg);
     BatchDetectConfig bcfg;
-    bcfg.max_lanes = plan.lanes;
-    return run_campaign_with_dropping(m.dp, plan.errors,
-                                      tg.budgeted_strategy(),
-                                      batch_detector(m, bcfg), ccfg);
+    bcfg.max_lanes = plan.lanes;  // 0 = resolve_lanes (CPUID / HLTG_LANES)
+    res = run_campaign_with_dropping(m.dp, plan.errors, make_gen(0),
+                                     batch_detector(m, bcfg), cfg);
+  } else {
+    res = run_campaign_parallel(m.dp, plan.errors, make_gen, cfg);
   }
-  if (plan.jobs > 1) {
-    // Workers share the model read-only; its lazy caches are materialised
-    // once at service start (CampaignService ctor).
-    ParallelCampaignConfig pcfg;
-    static_cast<CampaignConfig&>(pcfg) = ccfg;
-    pcfg.jobs = plan.jobs;
-    TgConfig worker_cfg = tgcfg;
-    NogoodBoard board;
-    if (worker_cfg.solver.scope == SolverScope::kCampaign)
-      worker_cfg.solver.shared_board = &board;
-    if (plan.fallback) {
-      RandomTgConfig rcfg;
-      rcfg.max_programs_per_error = plan.fallback_tries;
-      pcfg.fallback = nullptr;  // replaced by per-worker instances
-      pcfg.fallback_factory = [&m, rcfg](unsigned) {
-        return random_budgeted_strategy(m, rcfg);
-      };
-    }
-    return run_campaign_parallel(
-        m.dp, plan.errors,
-        [&](unsigned) {
-          auto tg = std::make_shared<TestGenerator>(m, worker_cfg);
-          BudgetedGenFn s = tg->budgeted_strategy();
-          return [tg, s](const DesignError& e, Budget& b) { return s(e, b); };
-        },
-        pcfg);
-  }
-  TestGenerator tg(m, tgcfg);
-  return run_campaign(m.dp, plan.errors, tg.budgeted_strategy(), ccfg);
+  if (saved)
+    for (const auto& tg : gens)
+      if (tg) saved->merge(export_context(tg->solver_context()));
+  return res;
 }
 
 CampaignService::CampaignService(const DlxModel& m, ServiceConfig cfg)
@@ -168,6 +195,10 @@ SubmitResult CampaignService::submit(const RequestSpec& spec, DoneFn done) {
     o.csv = std::move(payload);
     o.total = plan.errors.size();
     count_csv_rows(o.csv, &o.attempted, &o.detected);
+    // Only complete campaigns are cached, so in a drop campaign an error
+    // without a row was dropped by error simulation: detected by the test
+    // of an earlier error.
+    if (plan.drop) o.detected += o.total - o.attempted;
     out.ok = true;
     out.cached = true;
     if (done) done(o);
@@ -276,24 +307,6 @@ void CampaignService::executor_loop() {
   }
 }
 
-CampaignConfig CampaignService::flight_config(const Flight& fl) const {
-  CampaignConfig ccfg;
-  ccfg.budget = fl.plan.budget;
-  // The cancel token is wired by the caller: in-process execution points
-  // it at the flight's token; a supervised worker points it at its own
-  // (the one its SIGTERM handler flips).
-  ccfg.journal_path = fl.journal_path;
-  ccfg.design_hash = fl.plan.design_hash;
-  ccfg.solver_config_hash = fl.plan.config_hash;
-  if (fl.plan.fallback) {
-    RandomTgConfig rcfg;
-    rcfg.max_programs_per_error = fl.plan.fallback_tries;
-    ccfg.fallback = random_budgeted_strategy(model_, rcfg);
-    ccfg.fallback_budget = ccfg.budget;
-  }
-  return ccfg;
-}
-
 void CampaignService::run_flight(const std::shared_ptr<Flight>& fl) {
   RequestOutcome o;
   o.id = fl->id;
@@ -329,9 +342,7 @@ void CampaignService::run_flight(const std::shared_ptr<Flight>& fl) {
 
 void CampaignService::execute_inproc(const std::shared_ptr<Flight>& fl,
                                      RequestOutcome* o) {
-  CampaignConfig ccfg = flight_config(*fl);
-  ccfg.budget.cancel = &fl->cancel;
-  ccfg.cancel = &fl->cancel;
+  const CampaignConfig ccfg = flight_config(fl->journal_path, &fl->cancel);
   try {
     const CampaignResult res = cfg_.runner_override
                                    ? cfg_.runner_override(fl->plan, ccfg)
@@ -367,9 +378,9 @@ WorkerJob CampaignService::make_worker_job(const std::shared_ptr<Flight>& fl) {
     std::signal(SIGTERM, worker_on_term);
     std::signal(SIGINT, worker_on_term);
 
-    CampaignConfig ccfg = flight_config(*fl);
-    ccfg.budget.cancel = &worker_cancel;
-    ccfg.cancel = &worker_cancel;
+    // The worker's own token: the one its SIGTERM handler flips.
+    const CampaignConfig ccfg =
+        flight_config(fl->journal_path, &worker_cancel);
 
     JsonWriter w;
     std::string csv, table1;

@@ -46,6 +46,8 @@
 
 namespace hltg {
 
+struct DedSnapshot;
+
 /// Completion report delivered to every subscriber of a flight.
 struct RequestOutcome {
   std::uint64_t id = 0;
@@ -70,8 +72,8 @@ struct RequestOutcome {
 
 using DoneFn = std::function<void(const RequestOutcome&)>;
 
-/// Campaign execution hook: validated plan + fully wired config in,
-/// engine result out (see ServiceConfig::runner_override).
+/// Campaign execution hook: validated plan + how-config in, engine result
+/// out (see ServiceConfig::runner_override).
 using CampaignRunner =
     std::function<CampaignResult(const RequestPlan&, const CampaignConfig&)>;
 
@@ -103,9 +105,10 @@ struct ServiceConfig {
   /// Quarantine-bundle directory for poisoned requests ("" keeps the
   /// breaker in memory only; poison then dies with the daemon).
   std::string poison_dir;
-  /// Test hook: replaces the real campaign runner (build generator, run
-  /// engine). Receives the validated plan and the fully wired
-  /// CampaignConfig (budget, cancel token, journal path). Under
+  /// Test hook: replaces the real campaign runner (run_campaign_plan).
+  /// Receives the validated plan and a CampaignConfig holding only how the
+  /// run is watched and stopped (journal path, cancel tokens);
+  /// run_campaign_plan takes everything else from the plan. Under
   /// supervision the override runs inside the forked worker, so it must
   /// be fork-safe (no parent threads/locks).
   CampaignRunner runner_override;
@@ -145,12 +148,21 @@ struct SubmitResult {
   std::string journal_path;  ///< spool journal to tail for progress ("")
 };
 
-/// Run a validated request plan through the right campaign engine (serial,
-/// parallel-sharded, or dropping), mirroring the error_campaign CLI's
-/// wiring - the byte-identity of service results against offline runs
-/// hangs on the two calling the engines identically. Exposed for tests.
+/// Run a validated request plan: the one function that turns a request
+/// into a campaign, for the daemon and the error_campaign CLI alike. It
+/// picks the engine (the sharded engine at plan.jobs workers, or the
+/// dropping loop) and takes every semantic setting from the plan: budget
+/// caps, fallback generator and budget, provenance stamps, lane width, and
+/// the cross-worker NogoodBoard at campaign scope with jobs > 1. `ccfg`
+/// says only how the run is watched and stopped - journal, resume, cancel
+/// tokens (including budget.cancel), triage, verbose, fault hooks; its
+/// other fields are ignored. `warm`, when given, is imported into every
+/// generator before its first error; `saved`, when given, receives the
+/// generators' deduction state after the run, merged in worker-id order.
 CampaignResult run_campaign_plan(const DlxModel& m, const RequestPlan& plan,
-                                 const CampaignConfig& ccfg);
+                                 const CampaignConfig& ccfg,
+                                 const DedSnapshot* warm = nullptr,
+                                 DedSnapshot* saved = nullptr);
 
 class CampaignService {
  public:
@@ -190,7 +202,6 @@ class CampaignService {
 
   void executor_loop();
   void run_flight(const std::shared_ptr<Flight>& fl);
-  CampaignConfig flight_config(const Flight& fl) const;
   void execute_inproc(const std::shared_ptr<Flight>& fl, RequestOutcome* o);
   void execute_supervised(const std::shared_ptr<Flight>& fl,
                           RequestOutcome* o);

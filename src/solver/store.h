@@ -58,8 +58,9 @@ struct DedSnapshot {
   }
   /// Content-deduplicating union (existing entries win) - how the
   /// per-worker snapshots of a sharded campaign are combined before
-  /// saving. Merge order must be deterministic (worker id) for the saved
-  /// file to be reproducible.
+  /// saving, in worker-id order. That makes the saved file a function of
+  /// the workers' contexts; those themselves vary run over run when
+  /// workers exchange nogoods (campaign scope at jobs > 1).
   void merge(const DedSnapshot& other);
 };
 

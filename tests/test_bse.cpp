@@ -100,13 +100,14 @@ TEST(CampaignDropping, CompactsTestSet) {
   const auto all = wrap(enumerate_bus_ssl(model().dp));
   std::vector<DesignError> some(all.begin(), all.begin() + 24);
   TestGenerator tg(model());
-  const CampaignResult plain = run_campaign(model().dp, some, tg.strategy());
+  const CampaignResult plain =
+      run_campaign(model().dp, some, tg.budgeted_strategy());
   TestGenerator tg2(model());
   const CampaignResult dropped = run_campaign_with_dropping(
-      model().dp, some, tg2.strategy(),
-      [&](const TestCase& tc, const DesignError& e) {
+      model().dp, some, tg2.budgeted_strategy(),
+      batch_from_scalar([&](const TestCase& tc, const DesignError& e) {
         return detects(model(), tc, e.injection());
-      });
+      }));
   EXPECT_GE(dropped.stats.detected, plain.stats.detected);
   EXPECT_LT(dropped.tests_kept, plain.tests_kept);
   EXPECT_GT(dropped.dropped, 0u);
@@ -119,10 +120,10 @@ TEST(CampaignDropping, EveryKeptTestStillConfirmed) {
   std::vector<DesignError> some(all.begin(), all.begin() + 12);
   TestGenerator tg(model());
   const CampaignResult res = run_campaign_with_dropping(
-      model().dp, some, tg.strategy(),
-      [&](const TestCase& tc, const DesignError& e) {
+      model().dp, some, tg.budgeted_strategy(),
+      batch_from_scalar([&](const TestCase& tc, const DesignError& e) {
         return detects(model(), tc, e.injection());
-      });
+      }));
   for (const CampaignRow& row : res.rows)
     if (row.attempt.generated)
       EXPECT_TRUE(detects(model(), row.attempt.test,

@@ -2,7 +2,8 @@
 // removed: configuration hashes (journal and deduction-store stamps, service
 // cache keys) keep their values, journal rows keep their byte format and
 // those that carry the old probe_* keys still replay, and the removed CLI
-// flags are rejected.
+// flags are rejected. The campaign CLI also reads its request flags the way
+// the daemon does (service/request.h).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -152,6 +153,48 @@ TEST(CliCompat, RemovedProbeFlagsAreUnknown) {
               std::string::npos)
         << out;
   }
+}
+
+/// The first eight (deterministic) fields of every line of a campaign CSV.
+std::string csv_outcomes(const std::string& path) {
+  std::ifstream in(path);
+  std::string line, out;
+  while (std::getline(in, line)) {
+    std::size_t pos = 0;
+    for (int commas = 0; commas < 8 && pos != std::string::npos; ++commas)
+      pos = line.find(',', pos + 1);
+    out += line.substr(0, pos) + "\n";
+  }
+  return out;
+}
+
+TEST(CliCompat, ZeroCapMeansNoCap) {
+  // As for the daemon and --deadline-ms 0: a cap of 0 is no cap.
+  const std::string ref = testing::TempDir() + "hltg_cli_nocap.csv";
+  std::string out;
+  ASSERT_EQ(run_cli("--stages WB --csv " + ref, &out), 0) << out;
+  for (const char* flag : {"--max-backtracks", "--max-decisions"}) {
+    const std::string capped = testing::TempDir() + "hltg_cli_cap0.csv";
+    ASSERT_EQ(run_cli("--stages WB " + std::string(flag) + " 0 --csv " +
+                          capped,
+                      &out),
+              0)
+        << out;
+    EXPECT_EQ(csv_outcomes(capped), csv_outcomes(ref)) << flag;
+    std::remove(capped.c_str());
+  }
+  std::remove(ref.c_str());
+}
+
+TEST(CliCompat, EmptyPopulationIsAnError) {
+  std::string out;
+  EXPECT_EQ(run_cli("--model boe --stages WB", &out), 1);
+  EXPECT_NE(out.find("error population is empty"), std::string::npos) << out;
+}
+
+TEST(CliCompat, DropWithJobsIsRejected) {
+  std::string out;
+  EXPECT_EQ(run_cli("--stages WB --drop --jobs 2", &out), 1) << out;
 }
 
 }  // namespace

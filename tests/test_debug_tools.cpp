@@ -98,7 +98,8 @@ TEST(Coverage, GeneratedSuiteShape) {
   std::vector<DesignError> some;
   for (std::size_t i = 0; i < all.size(); i += 12) some.push_back(all[i]);
   TestGenerator tg(model());
-  const CampaignResult res = run_campaign(model().dp, some, tg.strategy());
+  const CampaignResult res =
+      run_campaign(model().dp, some, tg.budgeted_strategy());
   std::vector<TestCase> suite;
   for (const CampaignRow& row : res.rows)
     if (row.attempt.generated) suite.push_back(row.attempt.test);

@@ -134,7 +134,7 @@ TEST(Campaign, AggregatesStats) {
                                     {2, 0, false}, {3, 0, false}});
   int k = 0;
   const CampaignResult r = run_campaign(
-      model().dp, errs, [&k](const DesignError&) {
+      model().dp, errs, [&k](const DesignError&, Budget&) {
         ErrorAttempt a;
         a.generated = a.sim_confirmed = (k++ % 2 == 0);
         a.test_length = 6;

@@ -79,7 +79,8 @@ TEST(Report, CsvShape) {
   const auto errs = wrap(std::vector<BusSslError>{
       {model().dp.find_net("ex.alu_add"), 0, false}});
   TestGenerator tg(model());
-  const CampaignResult res = run_campaign(model().dp, errs, tg.strategy());
+  const CampaignResult res =
+      run_campaign(model().dp, errs, tg.budgeted_strategy());
   const std::string csv = campaign_csv(model().dp, res);
   EXPECT_NE(csv.find("model,error,outcome"), std::string::npos);
   EXPECT_NE(csv.find("bus-SSL"), std::string::npos);
@@ -105,7 +106,8 @@ TEST(Report, MarkdownShape) {
       {model().dp.find_net("ex.alu_add"), 0, false},
       {model().dp.find_net("ex.slt32"), 31, false}});
   TestGenerator tg(model());
-  const CampaignResult res = run_campaign(model().dp, errs, tg.strategy());
+  const CampaignResult res =
+      run_campaign(model().dp, errs, tg.budgeted_strategy());
   const std::string md = campaign_markdown(model().dp, res, "Spot check");
   EXPECT_NE(md.find("# Spot check"), std::string::npos);
   EXPECT_NE(md.find("| detected | 1 |"), std::string::npos);

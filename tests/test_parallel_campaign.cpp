@@ -113,7 +113,8 @@ TEST(ParallelCampaign, ByteIdenticalAcrossJobs) {
   EXPECT_EQ(r1.stats.length_histogram, r8.stats.length_histogram);
   EXPECT_DOUBLE_EQ(r1.stats.cpu_seconds, r8.stats.cpu_seconds);
 
-  // And identical to the serial engine on the same generator.
+  // And identical to run_campaign (the one-job engine on the calling
+  // thread) on the same generator.
   const CampaignResult serial =
       run_campaign(model().dp, errors, pure_gen(), CampaignConfig{});
   EXPECT_EQ(render_rows(serial), render_rows(r8));

@@ -165,7 +165,8 @@ TEST(Predictor, CampaignCoverageComparableOutsidePredictionPath) {
   const auto all = wrap(filtered);
   for (std::size_t i = 0; i < all.size(); i += 9) some.push_back(all[i]);
   TestGenerator tg(bp_model());
-  const CampaignResult res = run_campaign(bp_model().dp, some, tg.strategy());
+  const CampaignResult res =
+      run_campaign(bp_model().dp, some, tg.budgeted_strategy());
   // Slightly below the base model's rate: the extra prediction logic gives
   // CTRLJUST more ways to wander into redirect-implying assignments.
   EXPECT_GT(res.stats.detected * 10, res.stats.total * 7);  // > 70%

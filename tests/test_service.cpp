@@ -34,6 +34,7 @@
 #include "service/server.h"
 #include "service/service.h"
 #include "service/supervisor.h"
+#include "solver/store.h"
 #include "util/failpoint.h"
 #include "util/minijson.h"
 
@@ -61,6 +62,21 @@ CampaignRunner truncating_runner(std::size_t n) {
     if (p.errors.size() > n) p.errors.resize(n);
     return run_campaign_plan(model(), p, ccfg);
   };
+}
+
+/// The first `n` CSV fields of every line. Fields 1-8 are deterministic
+/// for any jobs value; 9-12 are wall-clock timings.
+std::string csv_fields(const std::string& csv, int n) {
+  std::istringstream in(csv);
+  std::string line, out;
+  while (std::getline(in, line)) {
+    std::size_t pos = 0;
+    for (int commas = 0; commas < n && pos != std::string::npos; ++commas)
+      pos = line.find(',', pos + 1);
+    out += line.substr(0, pos);
+    out += '\n';
+  }
+  return out;
 }
 
 /// Synchronisation wrapper for submit(): collect the outcome and wait.
@@ -188,6 +204,105 @@ TEST(RequestPlan, RejectsNonsense) {
   drop_jobs.drop = true;
   drop_jobs.jobs = 4;
   EXPECT_FALSE(plan_request(model(), drop_jobs).ok());
+}
+
+// ----------------------------------------------------- request flags
+
+/// parse_request_flag over a whole command line; "" when every argument
+/// was a request flag, else the error or the first foreign argument.
+std::string parse_flags(std::vector<const char*> args, RequestSpec* spec) {
+  args.insert(args.begin(), "prog");
+  const int argc = static_cast<int>(args.size());
+  for (int i = 1; i < argc; ++i) {
+    std::string error;
+    if (!parse_request_flag(argc, args.data(), &i, spec, &error))
+      return std::string("foreign: ") + args[i];
+    if (!error.empty()) return error;
+  }
+  return "";
+}
+
+TEST(RequestFlags, ParsesTheSharedCampaignFlags) {
+  RequestSpec s;
+  ASSERT_EQ(parse_flags({"--model", "bse", "--stages", "EX,WB",
+                         "--deadline-ms", "2.5", "--max-backtracks", "3",
+                         "--max-decisions", "40", "--fallback", "16",
+                         "--solver", "off", "--solver-scope", "campaign",
+                         "--drop", "--jobs", "2", "--lanes", "64"},
+                        &s),
+            "");
+  EXPECT_EQ(s.model, "bse");
+  EXPECT_EQ(s.stages, "EX,WB");
+  EXPECT_DOUBLE_EQ(s.deadline_ms, 2.5);
+  EXPECT_EQ(s.max_backtracks, 3u);
+  EXPECT_EQ(s.max_decisions, 40u);
+  EXPECT_TRUE(s.fallback);
+  EXPECT_EQ(s.fallback_tries, 16u);
+  EXPECT_FALSE(s.solver);
+  EXPECT_EQ(s.solver_scope, "campaign");
+  EXPECT_TRUE(s.drop);
+  EXPECT_EQ(s.jobs, 2u);
+  EXPECT_EQ(s.lanes, 64u);
+
+  // --fallback takes its count only when one follows; other tools' flags
+  // and a value-taking flag with nothing after it are not consumed.
+  RequestSpec t;
+  EXPECT_EQ(parse_flags({"--fallback", "--drop"}, &t), "");
+  EXPECT_TRUE(t.fallback);
+  EXPECT_EQ(t.fallback_tries, RequestSpec{}.fallback_tries);
+  EXPECT_EQ(parse_flags({"--csv", "x.csv"}, &t), "foreign: --csv");
+  EXPECT_EQ(parse_flags({"--jobs"}, &t), "foreign: --jobs");
+}
+
+TEST(RequestFlags, RejectsAMisspelledSolverValue) {
+  RequestSpec s;
+  EXPECT_EQ(parse_flags({"--solver", "of"}, &s),
+            "--solver takes 'on' or 'off', not 'of'");
+  EXPECT_TRUE(s.solver);  // untouched: no campaign with the engine off
+  EXPECT_NE(parse_flags({"--solver-scope", "galaxy"}, &s).find(
+                "--solver-scope takes"),
+            std::string::npos);
+}
+
+// ------------------------------------------------- run_campaign_plan
+
+TEST(RunCampaignPlan, FallbackRowsAreTheSameAtAnyJobs) {
+  // The config carries no semantic field: budget caps, the fallback and
+  // its budget all come from the plan, at one job as at two.
+  RequestSpec spec;
+  spec.stages = "EX";
+  spec.max_backtracks = 2;
+  spec.fallback = true;
+  spec.fallback_tries = 16;
+  RequestPlan plan = plan_request(model(), spec);
+  ASSERT_TRUE(plan.ok()) << plan.error;
+  const CampaignResult one = run_campaign_plan(model(), plan, {});
+  plan.jobs = 2;
+  const CampaignResult two = run_campaign_plan(model(), plan, {});
+  EXPECT_GT(one.stats.detected_fallback, 0u);
+  EXPECT_EQ(one.stats.detected, two.stats.detected);
+  EXPECT_EQ(csv_fields(campaign_csv(model().dp, one), 8),
+            csv_fields(campaign_csv(model().dp, two), 8));
+}
+
+TEST(RunCampaignPlan, WarmStartReproducesTheColdOutcomes) {
+  RequestSpec spec;
+  spec.stages = "WB";
+  spec.solver_scope = "campaign";
+  RequestPlan plan = plan_request(model(), spec);
+  ASSERT_TRUE(plan.ok()) << plan.error;
+  DedSnapshot saved;
+  const std::string cold = csv_fields(
+      campaign_csv(model().dp,
+                   run_campaign_plan(model(), plan, {}, nullptr, &saved)),
+      6);
+  ASSERT_FALSE(saved.empty());
+  for (unsigned jobs : {1u, 2u}) {
+    plan.jobs = jobs;
+    const CampaignResult warm = run_campaign_plan(model(), plan, {}, &saved);
+    EXPECT_EQ(csv_fields(campaign_csv(model().dp, warm), 6), cold)
+        << "jobs " << jobs;
+  }
 }
 
 // ---------------------------------------------------------- result cache
@@ -412,27 +527,35 @@ TEST(Service, CsvMatchesTheOfflineEngineOnTheStableColumns) {
   RequestPlan plan = plan_request(model(), spec);
   ASSERT_TRUE(plan.ok());
   plan.errors.resize(3);
-  CampaignConfig ccfg;
-  ccfg.budget = plan.budget;
-  ccfg.design_hash = plan.design_hash;
-  ccfg.solver_config_hash = plan.config_hash;
   const std::string offline =
-      campaign_csv(model().dp, run_campaign_plan(model(), plan, ccfg));
+      campaign_csv(model().dp, run_campaign_plan(model(), plan, {}));
 
-  // Columns 1-8 are deterministic; 9-12 are wall-clock timings.
-  auto stable = [](const std::string& csv) {
-    std::istringstream in(csv);
-    std::string line, out;
-    while (std::getline(in, line)) {
-      std::size_t pos = 0;
-      for (int commas = 0; commas < 8 && pos != std::string::npos; ++commas)
-        pos = line.find(',', pos + 1);
-      out += line.substr(0, pos);
-      out += '\n';
-    }
-    return out;
-  };
-  EXPECT_EQ(stable(got.csv), stable(offline));
+  EXPECT_EQ(csv_fields(got.csv, 8), csv_fields(offline, 8));
+}
+
+TEST(Service, CachedDropAnswerCountsDroppedErrorsAsDetected) {
+  // Errors dropped by error simulation have no CSV row; the cached answer
+  // must still count them the way the fresh run did.
+  ServiceConfig scfg;
+  scfg.executors = 1;
+  CampaignService svc(model(), scfg);
+  RequestSpec spec;
+  spec.stages = "WB";
+  spec.drop = true;
+  spec.max_backtracks = 8;
+  spec.max_decisions = 200;
+
+  Waiter w1;
+  ASSERT_TRUE(svc.submit(spec, w1.fn()).ok);
+  const RequestOutcome fresh = w1.wait();
+  ASSERT_TRUE(fresh.ok) << fresh.error;
+  ASSERT_FALSE(fresh.cached);
+  Waiter w2;
+  ASSERT_TRUE(svc.submit(spec, w2.fn()).cached);
+  const RequestOutcome cached = w2.wait();
+  EXPECT_EQ(cached.attempted, fresh.attempted);
+  EXPECT_EQ(cached.detected, fresh.detected);
+  EXPECT_LT(fresh.attempted, fresh.total);  // something was dropped
 }
 
 TEST(Service, CoalescesIdenticalInFlightRequests) {

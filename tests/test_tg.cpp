@@ -135,8 +135,9 @@ TEST(Tg, StatsPopulated) {
 }
 
 TEST(Tg, StrategyAdapterConfirms) {
-  auto strat = tg().strategy();
-  const ErrorAttempt a = strat(ssl("ex.alu_add", 2, false));
+  auto strat = tg().budgeted_strategy();
+  Budget unlimited;
+  const ErrorAttempt a = strat(ssl("ex.alu_add", 2, false), unlimited);
   EXPECT_TRUE(a.generated);
   EXPECT_TRUE(a.sim_confirmed);
   EXPECT_GT(a.test_length, 0u);
