@@ -49,9 +49,13 @@ void BM_SpecSimInstructions(benchmark::State& state) {
 BENCHMARK(BM_SpecSimInstructions)->Arg(256);
 
 void BM_ControllerImply(benchmark::State& state) {
+  // One decision and its backtrack per iteration: the event-driven window
+  // re-evaluates the CPI bit's forward cone on each imply().
   ControllerWindow win(model().ctrl, static_cast<unsigned>(state.range(0)));
-  win.assign(model().cpi[0], 0, L3::T);
   for (auto _ : state) {
+    win.assign(model().cpi[0], 0, L3::T);
+    win.imply();
+    win.assign(model().cpi[0], 0, L3::X);
     win.imply();
     benchmark::DoNotOptimize(win.value(model().cpi[0], 0));
   }

@@ -8,7 +8,8 @@
 // all of them, or proves none exists within the window / budget.
 //
 // Two search back ends share the front end:
-//  - the legacy pure-PODEM loop (full-window forward imply per iteration),
+//  - the legacy pure-PODEM loop (forward imply per iteration; the window
+//    re-evaluates only the forward cone of the assignments that changed),
 //  - the implication-engine loop (src/solver/): objectives are asserted,
 //    propagate() forces values in both directions, and decisions only touch
 //    genuinely free CPI/STS variables; conflicts are analyzed into learned

@@ -18,6 +18,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -145,6 +147,13 @@ struct DlxSignals {
   NetId s_haz_rsb_mem = kNoNet;
 };
 
+/// One step of the merged controller/datapath evaluation schedule
+/// (sim/schedule.h).
+struct EvalStep {
+  enum Kind : std::uint8_t { kGate, kCtrlBind, kModule } kind;
+  std::uint32_t index;  ///< GateId / ctrl_binds index / ModId
+};
+
 struct DlxModel {
   Netlist dp;
   GateNet ctrl;
@@ -159,6 +168,21 @@ struct DlxModel {
 
   const CtrlBind* find_ctrl(NetId n) const;
   const StsBind* find_sts(NetId n) const;
+
+  /// The merged evaluation schedule (sim/schedule.h; defined in
+  /// sim/schedule.cpp), built on the first call and shared read-only by
+  /// every simulator of this model. Safe to call from several threads at
+  /// once. build_dlx does not build it: models that never simulate never
+  /// pay for it.
+  const std::vector<EvalStep>& schedule() const;
+
+ private:
+  struct LazySchedule {
+    std::once_flag built;
+    std::vector<EvalStep> steps;
+  };
+  /// Heap-held so the model stays movable (a once_flag is not).
+  std::unique_ptr<LazySchedule> schedule_ = std::make_unique<LazySchedule>();
 };
 
 /// Build the complete model. The result is structurally checked (throws on

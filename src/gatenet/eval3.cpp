@@ -1,7 +1,6 @@
 #include "gatenet/eval3.h"
 
 #include "gatenet/evalw.h"
-#include "gatenet/evalw_impl.h"
 
 namespace hltg {
 
@@ -55,9 +54,9 @@ void clock_dffs2(const GateNet& gn, const std::vector<bool>& vals,
 // the lane engine's - so the scalar and SIMD paths can never drift apart.
 namespace {
 
-/// Per-thread plane scratch so the hot per-cycle imply path of
-/// core/unroll.cpp stays allocation-free. Campaign workers each get their
-/// own copy; nets of different sizes just grow the buffers.
+/// Per-thread plane scratch so repeated per-cycle evaluation stays
+/// allocation-free. Campaign workers each get their own copy; nets of
+/// different sizes just grow the buffers.
 struct PlaneScratch {
   std::vector<std::uint64_t> ones, zeros;
   void fit(std::size_t n) {
@@ -94,19 +93,6 @@ void eval_cycle3(const GateNet& gn, std::vector<L3>& vals) {
     pack1(vals[g], &s.ones[g], &s.zeros[g]);
   eval_cycle3w(gn, s.ones.data(), s.zeros.data(), 1, LaneBackend::kScalar);
   for (std::size_t g = 0; g < n; ++g) vals[g] = unpack1(s.ones[g], s.zeros[g]);
-}
-
-L3 eval_gate3(const GateNet& gn, GateId g, const std::vector<L3>& vals) {
-  const Gate& gate = gn.gate(g);
-  if (gate.kind == GateKind::kVar || gate.kind == GateKind::kDff)
-    return vals[g];
-  PlaneScratch& s = scratch();
-  s.fit(gn.num_gates());
-  for (GateId in : gate.fanin) pack1(vals[in], &s.ones[in], &s.zeros[in]);
-  detail::eval_gate3_block<detail::ScalarBlock>(
-      gate.kind, gate.fanin.data(), static_cast<unsigned>(gate.fanin.size()),
-      s.ones.data(), s.zeros.data(), &s.ones[g], &s.zeros[g], 1, 0);
-  return unpack1(s.ones[g], s.zeros[g]);
 }
 
 bool eval_gate2(const GateNet& gn, GateId g, const std::vector<bool>& vals) {

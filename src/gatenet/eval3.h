@@ -1,10 +1,11 @@
 // Two- and three-valued single-cycle evaluation of a controller gate network.
 //
-// The cycle-accurate simulator uses the 2-valued path; CTRLJUST's implication
-// engine uses the 3-valued path over an unrolled window (src/core/unroll).
-// The 3-valued entry points are thin shims over the lane engine's 01X
-// bit-pair kernel (gatenet/evalw) run at width 1 - evalw is the single
-// source of truth for 01X gate semantics.
+// The cycle-accurate simulator uses the 2-valued path; the time-frame
+// baseline (src/baseline/timeframe) uses the 3-valued one. The 3-valued
+// entry points are thin shims over the lane engine's 01X bit-pair kernel
+// (gatenet/evalw) run at width 1 - evalw is the single source of truth for
+// 01X gate semantics, and CTRLJUST's unrolled window (src/core/unroll)
+// calls that kernel directly.
 #pragma once
 
 #include <vector>
@@ -26,10 +27,6 @@ void clock_dffs2(const GateNet& gn, const std::vector<bool>& vals,
 
 /// 3-valued evaluation; same contract with L3 values.
 void eval_cycle3(const GateNet& gn, std::vector<L3>& vals);
-
-/// Evaluate one gate from its fanin values (3-valued). kVar/kDff return the
-/// value already stored.
-L3 eval_gate3(const GateNet& gn, GateId g, const std::vector<L3>& vals);
 
 /// Evaluate one gate from its fanin values (2-valued); kVar/kDff return the
 /// stored value.

@@ -107,9 +107,11 @@ const std::vector<GateId>& GateNet::topo_order() const {
 const PackedLayout& GateNet::packed() const {
   if (!packed_.ops.empty() || !packed_.dffs.empty() || gates_.empty())
     return packed_;
+  packed_.op_of.assign(gates_.size(), PackedLayout::kNoOp);
   for (GateId g : topo_order()) {
     const Gate& gate = gates_[g];
     if (gate.kind == GateKind::kVar || gate.kind == GateKind::kDff) continue;
+    packed_.op_of[g] = static_cast<std::uint32_t>(packed_.ops.size());
     PackedLayout::Op op;
     op.gate = g;
     op.fanin_at = static_cast<std::uint32_t>(packed_.fanin.size());

@@ -48,10 +48,12 @@ std::string_view to_string(SigRole r);
 
 /// Flattened evaluation program for the bit-parallel kernels: the
 /// combinational gates in topological order with their fanin lists packed
-/// into one contiguous array, plus the DFF index/D-input/reset tables. The
-/// wide evaluators (gatenet/evalw) walk this instead of chasing the
-/// per-Gate std::vector fanins; GateNet caches one per network so campaign
-/// rows share a single layout instead of re-deriving it per evaluation.
+/// into one contiguous array, plus the DFF index/D-input/reset tables and
+/// each gate's rank among the ops. The wide evaluators (gatenet/evalw) and
+/// the unrolled controller window (core/unroll) walk this instead of
+/// chasing the per-Gate std::vector fanins; GateNet caches one per network
+/// so campaign rows share a single layout instead of re-deriving it per
+/// evaluation.
 struct PackedLayout {
   struct Op {
     GateId gate;             ///< output slot
@@ -59,11 +61,16 @@ struct PackedLayout {
     std::uint16_t nfanin;
     GateKind kind;
   };
+  static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
+
   std::vector<Op> ops;        ///< combinational gates, topological order
   std::vector<GateId> fanin;  ///< concatenated fanin ids of `ops`
   std::vector<GateId> dffs;   ///< DFF gate ids (same order as GateNet::dffs)
   std::vector<GateId> dff_d;  ///< dff_d[i] = D input of dffs[i]
   std::vector<std::uint8_t> dff_reset;  ///< reset value per DFF
+  /// op_of[g]: index of gate g's op in `ops` (its topological rank among
+  /// the combinational gates); kNoOp for kVar and kDff gates.
+  std::vector<std::uint32_t> op_of;
 };
 
 struct Gate {
@@ -119,6 +126,7 @@ class GateNet {
     packed_.dffs.clear();
     packed_.dff_d.clear();
     packed_.dff_reset.clear();
+    packed_.op_of.clear();
   }
 
   /// Force-compute the lazy caches (topo order, fanouts, DFF list, packed

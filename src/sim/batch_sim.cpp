@@ -4,7 +4,6 @@
 
 #include "netlist/eval.h"
 #include "sim/cosim.h"
-#include "sim/schedule.h"
 #include "util/word.h"
 
 namespace hltg {
@@ -19,6 +18,7 @@ class BatchSim {
   BatchSim(const DlxModel& m, const TestCase& tc,
            const std::vector<const ErrorInjection*>& lanes)
       : m_(m),
+        sched_(m.schedule()),
         lanes_(lanes),
         nets_(m.dp.num_nets()),
         words_(lane_words(static_cast<unsigned>(lanes.size()))),
@@ -41,7 +41,6 @@ class BatchSim {
           stuck_and_[lane * nets_ + sl.net] &= ~(std::uint64_t{1} << sl.bit);
       }
     }
-    sched_ = build_eval_schedule(m_);
     sts_net_of_gate_.assign(m_.ctrl.num_gates(), kNoNet);
     for (const StsBind& sb : m_.sts_binds) sts_net_of_gate_[sb.gate] = sb.dp_net;
     for (ModId i = 0; i < m_.dp.num_modules(); ++i)
@@ -120,6 +119,7 @@ class BatchSim {
   std::uint64_t controller_passes() const { return controller_passes_; }
   std::uint64_t gate_evals() const { return gate_evals_; }
   LaneBackend backend() const { return backend_; }
+  const std::vector<EvalStep>& schedule() const { return sched_; }
 
  private:
   std::uint64_t dpv(std::size_t lane, NetId n) const {
@@ -348,6 +348,7 @@ class BatchSim {
   }
 
   const DlxModel& m_;
+  const std::vector<EvalStep>& sched_;  ///< the model's shared schedule
   const std::vector<const ErrorInjection*>& lanes_;
   const std::size_t nets_;
   const unsigned words_;  ///< 64-bit words per gate (lanes / 64 rounded up)
@@ -360,7 +361,6 @@ class BatchSim {
   std::vector<SparseMemory> dmem_;
   std::vector<std::size_t> matched_writes_;
   std::vector<std::uint64_t> live_, detected_;  ///< mask words
-  std::vector<EvalStep> sched_;
   std::vector<NetId> sts_net_of_gate_;
   std::vector<ModId> reg_mods_;
   LaneBackend backend_ = LaneBackend::kScalar;
@@ -409,6 +409,12 @@ std::vector<LaneCapture> batch_capture(
   fold_stats(stats, sim, lanes.size(),
              lane_words(static_cast<unsigned>(lanes.size())) * 64);
   return out;
+}
+
+const std::vector<EvalStep>& batch_schedule(
+    const DlxModel& m, const TestCase& tc,
+    const std::vector<const ErrorInjection*>& lanes) {
+  return BatchSim(m, tc, lanes).schedule();
 }
 
 std::vector<bool> detect_errors(const DlxModel& m, const TestCase& tc,

@@ -78,6 +78,12 @@ std::vector<LaneCapture> batch_capture(
     const std::vector<const ErrorInjection*>& lanes,
     BatchSimStats* stats = nullptr);
 
+/// The evaluation schedule a batch simulation steps through: the model's
+/// shared DlxModel::schedule(), never a per-simulation copy.
+const std::vector<EvalStep>& batch_schedule(
+    const DlxModel& m, const TestCase& tc,
+    const std::vector<const ErrorInjection*>& lanes);
+
 /// Whole-population detector: chunks `errors` into <= width groups and
 /// batch-simulates each; out[i] iff errors[i] is detected by `tc`.
 std::vector<bool> detect_errors(const DlxModel& m, const TestCase& tc,

@@ -9,7 +9,7 @@
 namespace hltg {
 
 ProcSim::ProcSim(const DlxModel& m, const TestCase& tc, ErrorInjection inj)
-    : m_(m), inj_(std::move(inj)), imem_(tc.imem) {
+    : m_(m), sched_(m.schedule()), inj_(std::move(inj)), imem_(tc.imem) {
   dpv_.assign(m_.dp.num_nets(), 0);
   load_reset2(m_.ctrl, gv_);
   rf_ = tc.rf_init;
@@ -27,7 +27,6 @@ ProcSim::ProcSim(const DlxModel& m, const TestCase& tc, ErrorInjection inj)
   }
   stall_gate_ = m_.ctrl.find("cg.stall");
   redirect_gate_ = m_.ctrl.find("cg.redirect");
-  sched_ = build_eval_schedule(m_);
   sts_net_of_gate_.assign(m_.ctrl.num_gates(), kNoNet);
   for (const StsBind& sb : m_.sts_binds) sts_net_of_gate_[sb.gate] = sb.dp_net;
 

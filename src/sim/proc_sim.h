@@ -20,7 +20,6 @@
 
 #include "dlx/dlx.h"
 #include "isa/spec_sim.h"
-#include "sim/schedule.h"
 
 namespace hltg {
 
@@ -69,6 +68,8 @@ class ProcSim {
   std::uint64_t stall_cycles() const { return stalls_; }
   std::uint64_t squashes() const { return squashes_; }
   ArchTrace arch_trace() const;
+  /// The evaluation schedule this simulator steps through: the model's.
+  const std::vector<EvalStep>& schedule() const { return sched_; }
 
  private:
   void fetch();
@@ -78,6 +79,7 @@ class ProcSim {
   void set_net(NetId n, std::uint64_t v, bool* changed);
 
   const DlxModel& m_;
+  const std::vector<EvalStep>& sched_;
   ErrorInjection inj_;
   mutable std::vector<std::uint64_t> scratch_in_, scratch_ctrl_;
   std::vector<std::uint64_t> stuck_or_;   ///< per-net OR mask
@@ -94,7 +96,6 @@ class ProcSim {
   std::uint64_t squashes_ = 0;
   GateId stall_gate_ = kNoGate;
   GateId redirect_gate_ = kNoGate;
-  std::vector<EvalStep> sched_;
   std::vector<NetId> sts_net_of_gate_;
 };
 

@@ -4,6 +4,12 @@
 
 namespace hltg {
 
+const std::vector<EvalStep>& DlxModel::schedule() const {
+  std::call_once(schedule_->built,
+                 [this] { schedule_->steps = build_eval_schedule(*this); });
+  return schedule_->steps;
+}
+
 std::vector<EvalStep> build_eval_schedule(const DlxModel& m) {
   // Node numbering: [0, G) gates, [G, G+B) ctrl bundles, [G+B, G+B+M) modules.
   const std::size_t G = m.ctrl.num_gates();

@@ -9,20 +9,16 @@
 // fixpoint iteration (a ~3x simulator speedup at DLX scale).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "dlx/dlx.h"
 
 namespace hltg {
 
-struct EvalStep {
-  enum Kind : std::uint8_t { kGate, kCtrlBind, kModule } kind;
-  std::uint32_t index;  ///< GateId / ctrl_binds index / ModId
-};
-
-/// Build the schedule. Throws std::logic_error if the merged combinational
-/// graph has a cycle (a modeling error).
+/// Build the schedule (EvalStep is declared in dlx/dlx.h). Throws
+/// std::logic_error if the merged combinational graph has a cycle (a
+/// modeling error). Simulators use the model's shared copy,
+/// DlxModel::schedule(), which calls this once per model.
 std::vector<EvalStep> build_eval_schedule(const DlxModel& m);
 
 }  // namespace hltg
