@@ -4,8 +4,9 @@
 // hot-path counters against regressions (tools/check_bench.py).
 //
 //   engine_off     legacy pure-PODEM CTRLJUST, no DPTRACE reuse
-//   no_reuse       engine on, but DPTRACE memo / nogood watches / DPRELAX
-//                  memo all off - the hot paths before the reuse overhaul
+//   no_reuse       engine on, but DPTRACE memo and nogood watches off -
+//                  the hot paths before the reuse overhaul (the DPRELAX
+//                  memo has no switch; at per-error scope it never hits)
 //   engine_on      full defaults (per-error solver scope)
 //   campaign_scope engine on with campaign-lifetime deduction reuse
 //   warm_start     campaign scope warm-started from the deduction snapshot
@@ -61,10 +62,7 @@ struct RunStats {
   std::uint64_t dptrace_reused = 0;
   std::uint64_t relax_hits = 0;
   std::uint64_t relax_lookups = 0;
-  std::uint64_t relax_cross_site_misses = 0;
   std::uint64_t relax_pair_captures = 0;
-  std::uint64_t cpi_dont_cares = 0;
-  std::uint64_t dontcare_candidates = 0;
   double total_seconds = 0;
 
   double percentile(double p) const {
@@ -97,10 +95,7 @@ void fold(RunStats* out, const TgResult& r, double s) {
   out->dptrace_reused += r.stats.dptrace_reused;
   out->relax_hits += r.stats.relax_hits;
   out->relax_lookups += r.stats.relax_lookups;
-  out->relax_cross_site_misses += r.stats.relax_cross_site_misses;
   out->relax_pair_captures += r.stats.relax_pair_captures;
-  out->cpi_dont_cares += r.stats.cpi_dont_cares;
-  out->dontcare_candidates += r.stats.dontcare_candidates;
 }
 
 /// One generator over the whole population. `warm` (optional) is imported
@@ -160,9 +155,7 @@ void emit(std::FILE* f, const char* name, const RunStats& r) {
       "\"cache_hit_rate\": %.4f, \"dptrace_expansions\": %llu, "
       "\"dptrace_searches\": %llu, \"dptrace_reused\": %llu, "
       "\"relax_hits\": %llu, \"relax_lookups\": %llu, "
-      "\"relax_cross_site_misses\": %llu, "
-      "\"relax_pair_captures\": %llu, \"cpi_dont_cares\": %llu, "
-      "\"dontcare_candidates\": %llu}",
+      "\"relax_pair_captures\": %llu}",
       name, r.total_seconds, r.percentile(0.50), r.percentile(0.95),
       r.detected_count, static_cast<unsigned long long>(r.decisions),
       static_cast<unsigned long long>(r.backtracks),
@@ -177,10 +170,7 @@ void emit(std::FILE* f, const char* name, const RunStats& r) {
       static_cast<unsigned long long>(r.dptrace_reused),
       static_cast<unsigned long long>(r.relax_hits),
       static_cast<unsigned long long>(r.relax_lookups),
-      static_cast<unsigned long long>(r.relax_cross_site_misses),
-      static_cast<unsigned long long>(r.relax_pair_captures),
-      static_cast<unsigned long long>(r.cpi_dont_cares),
-      static_cast<unsigned long long>(r.dontcare_candidates));
+      static_cast<unsigned long long>(r.relax_pair_captures));
 }
 
 double ratio(std::uint64_t base, std::uint64_t opt) {
@@ -222,7 +212,6 @@ int main(int argc, char** argv) {
   TgConfig noreuse_cfg;
   noreuse_cfg.trace.reuse = false;
   noreuse_cfg.solver.use_nogood_watches = false;
-  noreuse_cfg.solver.use_relax_cache = false;
   const RunStats noreuse = run(m, errors, noreuse_cfg);
   std::printf("no reuse      : %.2fs, %zu detected, %llu expansions, "
               "%llu nogood probes\n",
@@ -254,15 +243,12 @@ int main(int argc, char** argv) {
   DedSnapshot snapshot;
   const RunStats campaign = run(m, errors, campaign_cfg, nullptr, &snapshot);
   std::printf("campaign scope: %.2fs, %zu detected, cache %.0f%% of %llu "
-              "lookups, %llu relax replays of %llu (%llu cross-site "
-              "misses)\n",
+              "lookups, %llu relax replays of %llu\n",
               campaign.total_seconds, campaign.detected_count,
               100.0 * campaign.cache_hit_rate(),
               static_cast<unsigned long long>(campaign.cache_lookups),
               static_cast<unsigned long long>(campaign.relax_hits),
-              static_cast<unsigned long long>(campaign.relax_lookups),
-              static_cast<unsigned long long>(
-                  campaign.relax_cross_site_misses));
+              static_cast<unsigned long long>(campaign.relax_lookups));
 
   const RunStats warm = run(m, errors, campaign_cfg, &snapshot);
   std::printf("warm start    : %.2fs, %zu detected, cache %.0f%% of %llu "

@@ -218,9 +218,9 @@ int main(int argc, char** argv) {
   }
 
   // Fail fast on unwritable output paths: a campaign that runs for an hour
-  // and then cannot journal, persist, or quarantine wasted the hour. The
-  // store's prior size is recorded BEFORE the probe (the probe leaves an
-  // empty file behind when the path was absent).
+  // and then cannot journal, persist, quarantine or write its results
+  // wasted the hour. The store's prior size is recorded BEFORE the probe
+  // (the probe leaves an empty file behind when the path was absent).
   const bool store_existed = !store_path.empty() && nonempty_file(store_path);
   std::string why;
   if (!ccfg.journal_path.empty() &&
@@ -235,6 +235,15 @@ int main(int argc, char** argv) {
   }
   if (!quarantine_dir.empty() && !probe_writable_dir(quarantine_dir, &why)) {
     std::fprintf(stderr, "--quarantine-dir %s: %s\n", quarantine_dir.c_str(),
+                 why.c_str());
+    return 1;
+  }
+  if (!csv_path.empty() && !probe_writable_file(csv_path, &why)) {
+    std::fprintf(stderr, "--csv %s: %s\n", csv_path.c_str(), why.c_str());
+    return 1;
+  }
+  if (!save_dir.empty() && !probe_writable_dir(save_dir, &why)) {
+    std::fprintf(stderr, "--save-tests %s: %s\n", save_dir.c_str(),
                  why.c_str());
     return 1;
   }
@@ -349,6 +358,11 @@ int main(int argc, char** argv) {
   if (!csv_path.empty()) {
     std::ofstream out(csv_path);
     out << campaign_csv(m.dp, res);
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "--csv %s: write failed\n", csv_path.c_str());
+      return 1;
+    }
     std::printf("wrote %s\n", csv_path.c_str());
   }
   if (!save_dir.empty()) {
@@ -356,7 +370,12 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < res.rows.size(); ++i) {
       const ErrorAttempt& a = res.rows[i].attempt;
       if (!a.detected()) continue;
-      save_test(a.test, save_dir + "/test_" + std::to_string(i) + ".txt");
+      const std::string path =
+          save_dir + "/test_" + std::to_string(i) + ".txt";
+      if (!save_test(a.test, path)) {
+        std::fprintf(stderr, "--save-tests: cannot write %s\n", path.c_str());
+        return 1;
+      }
       ++saved;
     }
     std::printf("saved %u tests to %s/\n", saved, save_dir.c_str());

@@ -37,6 +37,7 @@
 
 #include "service/client.h"
 #include "service/request.h"
+#include "util/failpoint.h"
 #include "util/minijson.h"
 
 using namespace hltg;
@@ -175,6 +176,12 @@ AttemptResult run_submit_once(const std::string& socket_path,
       } else {
         std::ofstream out(csv_path);
         out << csv;
+        out.close();
+        if (!out) {
+          std::fprintf(stderr, "tg_client: --csv %s: write failed\n",
+                       csv_path.c_str());
+          return r;
+        }
         std::fprintf(stderr, "wrote %s\n", csv_path.c_str());
       }
       r.code = kExitOk;
@@ -266,6 +273,14 @@ int main(int argc, char** argv) {
     }
     std::printf("%s\n", line.c_str());
     return kExitOk;
+  }
+
+  // Fail fast: a campaign whose result cannot be written is not worth
+  // running.
+  std::string why;
+  if (!csv_path.empty() && !probe_writable_file(csv_path, &why)) {
+    std::fprintf(stderr, "--csv %s: %s\n", csv_path.c_str(), why.c_str());
+    return kExitTerminal;
   }
 
   // Submit with idempotent resubmission: the request's content-addressed

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "core/emit.h"
-#include "gatenet/evalw.h"
 #include "isa/asm.h"
 #include "sim/cosim.h"
 #include "util/log.h"
@@ -17,70 +16,6 @@ DpTraceConfig trace_cfg(const TgConfig& c) {
   DpTraceConfig t = c.trace;
   t.window = c.window;
   return t;
-}
-
-struct DontCareCount {
-  std::uint64_t candidates = 0;
-  std::uint64_t droppable = 0;
-};
-
-/// Post-success CPI don't-care analysis via the bit-parallel 01X evaluator:
-/// lane k carries the winning assignment with candidate CPI bit k relaxed
-/// to X; one eval_cycle3w sweep per window cycle answers all candidates at
-/// once. A candidate is droppable when every CTRL objective stays forced to
-/// its required value in that lane. Conservative (X-propagation may hide a
-/// don't-care) and purely statistical: the emitted test keeps every bit.
-DontCareCount count_cpi_dont_cares(
-    const GateNet& ctrl, unsigned window,
-    const std::vector<std::tuple<GateId, unsigned, bool>>& cpi,
-    const std::vector<std::tuple<GateId, unsigned, bool>>& sts,
-    const std::vector<CtrlObjective>& objectives) {
-  DontCareCount out;
-  const std::size_t k =
-      std::min<std::size_t>(cpi.size(), kMaxLanes);  // one lane per candidate
-  if (k == 0) return out;
-  out.candidates = k;
-  const unsigned words = lane_words(static_cast<unsigned>(k));
-  const std::size_t ngates = ctrl.num_gates();
-  std::vector<std::uint64_t> ones, zeros, scratch;
-  load_reset3w(ctrl, ones, zeros, words);
-  std::vector<std::uint64_t> ok(words, 0);
-  for (std::size_t lane = 0; lane < k; ++lane)
-    ok[lane >> 6] |= std::uint64_t{1} << (lane & 63);
-
-  auto assign = [&](GateId g, unsigned cycle, bool v, unsigned t,
-                    std::size_t dropped) {
-    if (cycle != t) return;
-    std::uint64_t* plane = (v ? ones : zeros).data() + std::size_t{g} * words;
-    for (unsigned w = 0; w < words; ++w) plane[w] = ~std::uint64_t{0};
-    if (dropped < k)
-      plane[dropped >> 6] &= ~(std::uint64_t{1} << (dropped & 63));
-  };
-
-  for (unsigned t = 0; t < window; ++t) {
-    // Unassigned free variables are X in every lane.
-    for (GateId g = 0; g < ngates; ++g)
-      if (ctrl.gate(g).kind == GateKind::kVar) {
-        std::fill_n(ones.data() + std::size_t{g} * words, words, 0);
-        std::fill_n(zeros.data() + std::size_t{g} * words, words, 0);
-      }
-    for (std::size_t i = 0; i < cpi.size(); ++i) {
-      const auto& [g, cycle, v] = cpi[i];
-      assign(g, cycle, v, t, i);  // lane i: this very bit relaxed to X
-    }
-    for (const auto& [g, cycle, v] : sts) assign(g, cycle, v, t, k);
-    eval_cycle3w(ctrl, ones.data(), zeros.data(), words);
-    for (const CtrlObjective& o : objectives) {
-      if (o.cycle != t) continue;
-      const std::uint64_t* forced =
-          (o.value ? ones : zeros).data() + std::size_t{o.gate} * words;
-      for (unsigned w = 0; w < words; ++w) ok[w] &= forced[w];
-    }
-    clock_dffs3w(ctrl, ones.data(), zeros.data(), words, scratch);
-  }
-  for (std::size_t lane = 0; lane < k; ++lane)
-    if ((ok[lane >> 6] >> (lane & 63)) & 1) ++out.droppable;
-  return out;
 }
 }  // namespace
 
@@ -165,10 +100,7 @@ TgResult TestGenerator::generate(const DesignError& err, Budget* budget) {
   second.stats.dptrace_reused += first.stats.dptrace_reused;
   second.stats.relax_hits += first.stats.relax_hits;
   second.stats.relax_lookups += first.stats.relax_lookups;
-  second.stats.relax_cross_site_misses += first.stats.relax_cross_site_misses;
   second.stats.relax_pair_captures += first.stats.relax_pair_captures;
-  second.stats.cpi_dont_cares += first.stats.cpi_dont_cares;
-  second.stats.dontcare_candidates += first.stats.dontcare_candidates;
   second.stats.dptrace_ns += first.stats.dptrace_ns;
   second.stats.ctrljust_ns += first.stats.ctrljust_ns;
   second.stats.dprelax_ns += first.stats.dprelax_ns;
@@ -340,9 +272,9 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
                                 plan.activate_cycle, window);
     // DPRELAX memo: a solve is a pure function of its subproblem, so
     // replaying a recorded definitive result is byte-identical to
-    // recomputing it. Repeat visits to a plan (shape-duplicated paths,
-    // warm-started reruns) are answered without a relaxation sweep.
-    const bool memoize = cfg_.solver.enable && cfg_.solver.use_relax_cache;
+    // recomputing it. Warm-started reruns are answered without a
+    // relaxation sweep (solver/relax_cache.h).
+    const bool memoize = cfg_.solver.enable;
     RelaxCache::Key rkey;
     DpRelaxResult rr;
     bool replayed = false;
@@ -350,13 +282,10 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
     if (memoize) {
       rkey = RelaxCache::make_key(rcfg, vars, cons, inj);
       ++res.stats.relax_lookups;
-      const std::uint64_t xsite0 = solver_ctx_.relax.cross_site_misses();
       if (solver_ctx_.relax.find(rkey, &rr, &vars)) {
         ++res.stats.relax_hits;
         replayed = true;
       }
-      res.stats.relax_cross_site_misses +=
-          solver_ctx_.relax.cross_site_misses() - xsite0;
     }
     if (!replayed) {
       DpRelax relax(m_, window, rcfg);
@@ -374,15 +303,11 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
 
     TestCase tc = vars.to_test();
     trim_trailing_nops(&tc.imem);
-    if (cfg_.confirm_by_simulation && !detects(m_, tc, inj)) {
+    if (!detects(m_, tc, inj)) {
       fail_note("not confirmed by dual simulation");
       unconfirmed_shapes.insert(shape_of(plan));
       continue;
     }
-    const DontCareCount dc = count_cpi_dont_cares(
-        m_.ctrl, window, cr.cpi_assignments, cr.sts_assignments, objectives);
-    res.stats.dontcare_candidates += dc.candidates;
-    res.stats.cpi_dont_cares += dc.droppable;
     res.status = TgStatus::kSuccess;
     res.test = std::move(tc);
     res.test_length = plan.observe_cycle + 1;
@@ -554,10 +479,11 @@ std::uint64_t tg_config_hash(const TgConfig& cfg) {
   f.mix(cfg.relax.max_iterations);
   f.mix(cfg.relax.max_depth);
   f.mix(cfg.relax.seed);
+  // 16: the DPRELAX memo bit. The memo is always on; the bit stays so that
+  // stores and journals written before it lost its switch still validate.
   f.mix((cfg.solver.enable ? 1u : 0u) | (cfg.solver.use_nogoods ? 2u : 0u) |
         (cfg.solver.use_cache ? 4u : 0u) |
-        (cfg.solver.use_nogood_watches ? 8u : 0u) |
-        (cfg.solver.use_relax_cache ? 16u : 0u));
+        (cfg.solver.use_nogood_watches ? 8u : 0u) | 16u);
   return f.h;
 }
 

@@ -38,7 +38,6 @@ struct TgConfig {
   /// nogoods, justification cache. `solver.enable = false` restores the
   /// legacy pure-PODEM CTRLJUST (the error_campaign --solver=off hatch).
   SolverConfig solver;
-  bool confirm_by_simulation = true;
   // Ablation toggles for the design choices DESIGN.md calls out.
   bool shape_dedup = true;     ///< skip plans whose shape failed confirmation
   bool reset_precheck = true;  ///< skip plans violated by the reset trajectory
@@ -68,15 +67,6 @@ struct TgStats {
   /// DPRELAX good+err window captures run as one 2-lane batch simulation
   /// (sim/batch_sim) instead of two full window simulations.
   std::uint64_t relax_pair_captures = 0;
-  /// Post-success 01X analysis (gatenet/evalw): candidate CPI bits whose
-  /// relaxation to X still forces every CTRL objective of the winning plan.
-  /// Pure statistics - the emitted test is unchanged.
-  std::uint64_t cpi_dont_cares = 0;
-  std::uint64_t dontcare_candidates = 0;
-  /// DPRELAX memo misses where a resident entry differed only in the
-  /// injection-site suffix of the key - the reuse a site-independent
-  /// keying would capture (measured, not exploited; docs/SOLVER.md).
-  std::uint64_t relax_cross_site_misses = 0;
   // Per-phase wall time (monotonic clock), for the campaign CSV / --replay.
   std::uint64_t dptrace_ns = 0;
   std::uint64_t ctrljust_ns = 0;
@@ -178,9 +168,9 @@ std::uint64_t relax_plan_seed(std::uint64_t base_seed, NetId site,
                               unsigned activate_cycle, unsigned window);
 
 /// Fingerprint of the TgConfig knobs that cached deduction results depend
-/// on (windows, search caps, relaxation seed, solver toggles). Capacities
-/// are deliberately excluded: they change what stays resident, never what
-/// a resident entry means.
+/// on (windows, search caps, relaxation seed, solver toggles). The nogood
+/// and justification-cache capacities are built in and excluded: they
+/// change what stays resident, never what a resident entry means.
 std::uint64_t tg_config_hash(const TgConfig& cfg);
 
 }  // namespace hltg

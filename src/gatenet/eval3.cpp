@@ -1,6 +1,6 @@
 #include "gatenet/eval3.h"
 
-#include "gatenet/evalw.h"
+#include "gatenet/evalw_impl.h"
 
 namespace hltg {
 
@@ -47,11 +47,11 @@ void clock_dffs2(const GateNet& gn, const std::vector<bool>& vals,
   for (GateId g : gn.dffs()) next[g] = vals[gn.gate(g).fanin[0]];
 }
 
-// The 3-valued evaluators are thin shims over the lane engine's 01X kernel
-// (gatenet/evalw): values are packed into one-word bit-pair planes, the
-// shared kernel runs at width 1, and the planes are unpacked back to L3.
-// There is exactly one implementation of 01X gate semantics in the tree -
-// the lane engine's - so the scalar and SIMD paths can never drift apart.
+// eval_cycle3 packs L3 values into one-word bit-pair planes, runs the lane
+// engine's templated 01X kernel (gatenet/evalw_impl.h) at width 1 and
+// unpacks the planes back to L3. That kernel is the only implementation of
+// 01X gate semantics in the tree, so this path and CTRLJUST's window can
+// never drift apart.
 namespace {
 
 /// Per-thread plane scratch so repeated per-cycle evaluation stays
@@ -91,7 +91,8 @@ void eval_cycle3(const GateNet& gn, std::vector<L3>& vals) {
   s.fit(n);
   for (std::size_t g = 0; g < n; ++g)
     pack1(vals[g], &s.ones[g], &s.zeros[g]);
-  eval_cycle3w(gn, s.ones.data(), s.zeros.data(), 1, LaneBackend::kScalar);
+  detail::eval_cycle3w_t<detail::ScalarBlock>(gn, s.ones.data(),
+                                              s.zeros.data(), 1);
   for (std::size_t g = 0; g < n; ++g) vals[g] = unpack1(s.ones[g], s.zeros[g]);
 }
 

@@ -1,11 +1,11 @@
 // Two- and three-valued single-cycle evaluation of a controller gate network.
 //
 // The cycle-accurate simulator uses the 2-valued path; the time-frame
-// baseline (src/baseline/timeframe) uses the 3-valued one. The 3-valued
-// entry points are thin shims over the lane engine's 01X bit-pair kernel
-// (gatenet/evalw) run at width 1 - evalw is the single source of truth for
-// 01X gate semantics, and CTRLJUST's unrolled window (src/core/unroll)
-// calls that kernel directly.
+// baseline (src/baseline/timeframe) uses the 3-valued one. eval_cycle3 runs
+// the lane engine's 01X bit-pair kernel (gatenet/evalw_impl.h) at width 1:
+// that kernel is the single source of 01X gate semantics, and CTRLJUST's
+// unrolled window (src/core/unroll) calls it directly. tests/test_evalw.cpp
+// checks eval_cycle3 against a per-gate evaluator built on util/logic3.
 #pragma once
 
 #include <vector>

@@ -157,47 +157,4 @@ void load_resetw(const GateNet& gn, std::vector<std::uint64_t>& vals,
                   ~std::uint64_t{0});
 }
 
-void eval_cycle3w(const GateNet& gn, std::uint64_t* ones, std::uint64_t* zeros,
-                  unsigned words, LaneBackend b) {
-  switch (b) {
-#if defined(HLTG_EVALW_HAVE_AVX512)
-    case LaneBackend::kAvx512:
-      detail::eval_cycle3w_avx512(gn, ones, zeros, words);
-      return;
-#endif
-#if defined(HLTG_EVALW_HAVE_AVX2)
-    case LaneBackend::kAvx2:
-      detail::eval_cycle3w_avx2(gn, ones, zeros, words);
-      return;
-#endif
-    default:
-      detail::eval_cycle3w_t<detail::ScalarBlock>(gn, ones, zeros, words);
-      return;
-  }
-}
-
-void eval_cycle3w(const GateNet& gn, std::uint64_t* ones, std::uint64_t* zeros,
-                  unsigned words) {
-  eval_cycle3w(gn, ones, zeros, words, backend_for(words));
-}
-
-void clock_dffs3w(const GateNet& gn, std::uint64_t* ones, std::uint64_t* zeros,
-                  unsigned words, std::vector<std::uint64_t>& scratch) {
-  clock_dffsw(gn, ones, words, scratch);
-  clock_dffsw(gn, zeros, words, scratch);
-}
-
-void load_reset3w(const GateNet& gn, std::vector<std::uint64_t>& ones,
-                  std::vector<std::uint64_t>& zeros, unsigned words) {
-  const PackedLayout& pl = gn.packed();
-  // All-X everywhere, then make the DFF lanes known per reset value.
-  ones.assign(gn.num_gates() * words, 0);
-  zeros.assign(gn.num_gates() * words, 0);
-  for (std::size_t i = 0; i < pl.dffs.size(); ++i) {
-    std::uint64_t* plane =
-        (pl.dff_reset[i] ? ones : zeros).data() + std::size_t{pl.dffs[i]} * words;
-    std::fill_n(plane, words, ~std::uint64_t{0});
-  }
-}
-
 }  // namespace hltg

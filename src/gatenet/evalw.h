@@ -19,11 +19,12 @@
 // -DHLTG_FORCE_SCALAR=ON alias) and override the lane width at runtime with
 // --lanes / HLTG_LANES.
 //
-// The 01X variants (`eval_cycle3w` etc.) carry three-valued lanes as a bit
-// pair across two planes: ones-bit set = lane is 1, zeros-bit set = lane is
-// 0, neither = X (both set cannot arise). AND/OR/NOT/XOR become 2-6 word
-// ops per gate visit for W lanes, against one switch dispatch per lane in
-// the scalar eval_cycle3 path.
+// The 01X kernels in evalw_impl.h (eval_gate3_block, eval_cycle3w_t) carry
+// three-valued lanes as a bit pair across two planes: ones-bit set = lane
+// is 1, zeros-bit set = lane is 0, neither = X (both set cannot arise).
+// They have no public entry point here: eval_cycle3 (gatenet/eval3) runs
+// them at width 1 and CTRLJUST's unrolled window (core/unroll) with cycles
+// as lanes.
 //
 // All kernels walk GateNet::packed() - the topo order and fanin lists
 // flattened once per network (GateNet::warm_caches()) instead of per call.
@@ -86,24 +87,5 @@ void clock_dffsw(const GateNet& gn, std::uint64_t* vals, unsigned words,
 /// Size and load `vals` with the reset state in every lane.
 void load_resetw(const GateNet& gn, std::vector<std::uint64_t>& vals,
                  unsigned words);
-
-// -------------------------------------------------------- 01X (bit-pair)
-
-/// Three-valued cycle evaluation over bit-pair planes (see header comment).
-/// Both planes hold num_gates() * words entries; kVar/kDff planes are
-/// inputs, everything else is overwritten.
-void eval_cycle3w(const GateNet& gn, std::uint64_t* ones, std::uint64_t* zeros,
-                  unsigned words);
-void eval_cycle3w(const GateNet& gn, std::uint64_t* ones, std::uint64_t* zeros,
-                  unsigned words, LaneBackend b);
-
-/// Clock edge in place over both planes.
-void clock_dffs3w(const GateNet& gn, std::uint64_t* ones, std::uint64_t* zeros,
-                  unsigned words, std::vector<std::uint64_t>& scratch);
-
-/// Reset state in every lane: DFFs known (per reset value), all other
-/// gates X.
-void load_reset3w(const GateNet& gn, std::vector<std::uint64_t>& ones,
-                  std::vector<std::uint64_t>& zeros, unsigned words);
 
 }  // namespace hltg

@@ -39,11 +39,6 @@ void eval_gatew_avx2(const GateNet& gn, GateId g, std::uint64_t* vals,
   eval_gatew_t<Avx2Block>(gn, g, vals, words);
 }
 
-void eval_cycle3w_avx2(const GateNet& gn, std::uint64_t* ones,
-                       std::uint64_t* zeros, unsigned words) {
-  eval_cycle3w_t<Avx2Block>(gn, ones, zeros, words);
-}
-
 }  // namespace detail
 }  // namespace hltg
 

@@ -36,11 +36,6 @@ void eval_gatew_avx512(const GateNet& gn, GateId g, std::uint64_t* vals,
   eval_gatew_t<Avx512Block>(gn, g, vals, words);
 }
 
-void eval_cycle3w_avx512(const GateNet& gn, std::uint64_t* ones,
-                         std::uint64_t* zeros, unsigned words) {
-  eval_cycle3w_t<Avx512Block>(gn, ones, zeros, words);
-}
-
 }  // namespace detail
 }  // namespace hltg
 

@@ -1,8 +1,9 @@
 // Shared templated kernels behind gatenet/evalw. Each backend TU
 // (evalw.cpp scalar, evalw_avx2.cpp, evalw_avx512.cpp) instantiates the
-// templates here with its block type; the per-source -mavx2 / -mavx512f
-// flags therefore never leak into code the dispatcher might run on an
-// older machine.
+// 2-valued templates here with its block type; the per-source -mavx2 /
+// -mavx512f flags therefore never leak into code the dispatcher might run
+// on an older machine. The 01X templates run with ScalarBlock only, from
+// gatenet/eval3 and core/unroll.
 //
 // A Block models `kWords` consecutive 64-bit lane words: load/store plus
 // the four bitwise ops. The kernels process each gate's words in
@@ -191,16 +192,12 @@ void eval_cycle3w_t(const GateNet& gn, std::uint64_t* ones,
 void eval_cyclew_avx2(const GateNet& gn, std::uint64_t* vals, unsigned words);
 void eval_gatew_avx2(const GateNet& gn, GateId g, std::uint64_t* vals,
                      unsigned words);
-void eval_cycle3w_avx2(const GateNet& gn, std::uint64_t* ones,
-                       std::uint64_t* zeros, unsigned words);
 #endif
 #if defined(HLTG_EVALW_HAVE_AVX512)
 void eval_cyclew_avx512(const GateNet& gn, std::uint64_t* vals,
                         unsigned words);
 void eval_gatew_avx512(const GateNet& gn, GateId g, std::uint64_t* vals,
                        unsigned words);
-void eval_cycle3w_avx512(const GateNet& gn, std::uint64_t* ones,
-                         std::uint64_t* zeros, unsigned words);
 #endif
 
 }  // namespace detail

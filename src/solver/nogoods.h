@@ -19,6 +19,8 @@ namespace hltg {
 
 class NogoodStore {
  public:
+  /// Cuts wider than `max_lits` are not worth storing: they almost never
+  /// fire again and matching them would dominate.
   explicit NogoodStore(std::size_t capacity = 256, std::size_t max_lits = 8)
       : capacity_(capacity), max_lits_(max_lits) {}
 

@@ -1,7 +1,5 @@
 #include "solver/relax_cache.h"
 
-#include <algorithm>
-
 namespace hltg {
 
 namespace {
@@ -57,8 +55,6 @@ RelaxCache::Key RelaxCache::make_key(
     put(k, val);
   }
 
-  // The injection goes last so the site-independent core is a prefix.
-  const std::size_t core_words = k.words.size();
   put(k, inj.stuck.size());
   for (const StuckLine& s : inj.stuck) {
     put(k, static_cast<std::uint64_t>(s.net));
@@ -78,7 +74,6 @@ RelaxCache::Key RelaxCache::make_key(
     put(k, slot.second);
     put(k, static_cast<std::uint64_t>(net));
   }
-  k.site_words = static_cast<std::uint32_t>(k.words.size() - core_words);
   return k;
 }
 
@@ -91,70 +86,30 @@ std::uint64_t RelaxCache::hash_key(const Key& k) {
   return h;
 }
 
-namespace {
-
-/// Do two keys agree on everything but the trailing injection words?
-bool same_core(const RelaxCache::Key& a, const RelaxCache::Key& b) {
-  if (a.words.size() < a.site_words || b.words.size() < b.site_words)
-    return false;
-  const std::size_t na = a.words.size() - a.site_words;
-  if (na != b.words.size() - b.site_words) return false;
-  return std::equal(a.words.begin(), a.words.begin() + na, b.words.begin());
+const RelaxCache::Exported* RelaxCache::lookup(const Key& key,
+                                               std::uint64_t h) const {
+  const auto [lo, hi] = index_.equal_range(h);
+  for (auto it = lo; it != hi; ++it)
+    if (entries_[it->second].key == key) return &entries_[it->second];
+  return nullptr;
 }
 
-}  // namespace
-
-bool RelaxCache::find(const Key& key, DpRelaxResult* result, RelaxVars* vars) {
-  ++lookups_;
-  const std::uint64_t h = hash_key(key);
-  for (Entry& e : entries_)
-    if (e.hash == h && e.key == key) {
-      e.stamp = ++clock_;
-      *result = e.result;
-      *vars = e.vars;
-      ++hits_;
-      return true;
-    }
-  // Miss: would a site-independent key have hit? Pure instrumentation -
-  // the recorded result is NOT reused, since DPRELAX simulates the faulty
-  // machine and its result genuinely depends on the injection.
-  for (const Entry& e : entries_)
-    if (same_core(e.key, key)) {
-      ++cross_site_misses_;
-      break;
-    }
-  return false;
+bool RelaxCache::find(const Key& key, DpRelaxResult* result,
+                      RelaxVars* vars) const {
+  const Exported* e = lookup(key, hash_key(key));
+  if (!e) return false;
+  *result = e->result;
+  *vars = e->vars;
+  return true;
 }
 
 void RelaxCache::store(const Key& key, const DpRelaxResult& result,
                        const RelaxVars& vars) {
-  if (capacity_ == 0 || result.abort != AbortReason::kNone) return;
+  if (result.abort != AbortReason::kNone) return;
   const std::uint64_t h = hash_key(key);
-  for (const Entry& e : entries_)
-    if (e.hash == h && e.key == key) return;  // first writer wins
-  Entry fresh{key, h, result, vars, ++clock_};
-  if (entries_.size() >= capacity_) {
-    auto victim = std::min_element(
-        entries_.begin(), entries_.end(),
-        [](const Entry& a, const Entry& b) { return a.stamp < b.stamp; });
-    *victim = std::move(fresh);
-  } else {
-    entries_.push_back(std::move(fresh));
-  }
-}
-
-std::vector<RelaxCache::Exported> RelaxCache::export_entries() const {
-  std::vector<Exported> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back({e.key, e.result, e.vars});
-  return out;
-}
-
-std::size_t RelaxCache::failure_entries() const {
-  std::size_t n = 0;
-  for (const Entry& e : entries_)
-    if (e.result.status != TgStatus::kSuccess) ++n;
-  return n;
+  if (lookup(key, h)) return;  // first writer wins
+  index_.emplace(h, entries_.size());
+  entries_.push_back({key, result, vars});
 }
 
 }  // namespace hltg

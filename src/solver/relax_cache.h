@@ -1,4 +1,4 @@
-// DPRELAX memo: bounded LRU over definitive backsolve results.
+// DPRELAX memo: exact-key replay of definitive backsolve results.
 //
 // Learning hard nogoods from DPRELAX failures would be unsound: the
 // backsolve is incomplete ("may fail to find a solution even if there is
@@ -9,10 +9,18 @@
 // including provenance, entry-point free variables, and the injected
 // error), so replaying a recorded definitive result - success or failure,
 // including the final variable state - is byte-identical to recomputing
-// it. The cached failures are this cache's "learned cuts": repeat visits
-// to a plan (shape-duplicated paths within a window, warm-started reruns
-// replaying the same derived seeds) are answered without a single
-// relaxation sweep.
+// it.
+//
+// Where it pays: warm starts. Within one run a key practically never
+// repeats - it holds the full injection, so no other error shares an
+// entry, and the window is mixed into the derived seed (below), so the
+// window retry cannot replay one either. A context warm-started from a
+// persisted store (solver/store.h) replays every relax solve of the run
+// that wrote it. The memo therefore has no capacity and never evicts: a
+// bounded LRU would evict imported entries before their turn comes. It
+// holds one entry per definitive solve for as long as its SolverContext
+// lives - one error at error scope, one worker's share of the population
+// at campaign scope.
 //
 // The window is NOT part of the key, but it IS mixed into the derived seed
 // (core/tg.h relax_plan_seed), which the key serializes - so entries never
@@ -29,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/dprelax.h"
@@ -39,16 +48,9 @@ namespace hltg {
 
 class RelaxCache {
  public:
-  explicit RelaxCache(std::size_t capacity = 256) : capacity_(capacity) {}
-
-  /// Serialized subproblem identity (exact, not just a hash). The injected
-  /// error is serialized LAST, and `site_words` records how many trailing
-  /// words it occupies, so the injection-free core of two keys can be
-  /// compared without re-deriving it - the instrumentation behind the
-  /// cross-site miss counter below.
+  /// Serialized subproblem identity (exact, not just a hash).
   struct Key {
     std::vector<std::uint64_t> words;
-    std::uint32_t site_words = 0;
     bool operator==(const Key&) const = default;
   };
 
@@ -59,59 +61,38 @@ class RelaxCache {
                       const ErrorInjection& inj);
 
   /// Probe. On a hit, *result and *vars are overwritten with the recorded
-  /// outcome and final variable state. Counts a lookup either way. A miss
-  /// whose injection-free core matches a resident entry (only the
-  /// injection-site suffix differs) is additionally counted as a
-  /// cross-site miss - the reuse that keying site-independent subproblems
-  /// separately would unlock (docs/SOLVER.md).
-  bool find(const Key& key, DpRelaxResult* result, RelaxVars* vars);
+  /// outcome and final variable state.
+  bool find(const Key& key, DpRelaxResult* result, RelaxVars* vars) const;
 
-  /// Record a definitive result (ignored when result.abort != kNone or
-  /// capacity is zero). `vars` is the FINAL state after solve.
+  /// Record a definitive result (ignored when result.abort != kNone; the
+  /// first result stored for a key wins). `vars` is the FINAL state after
+  /// solve.
   void store(const Key& key, const DpRelaxResult& result,
              const RelaxVars& vars);
 
   void clear() {
     entries_.clear();
-    hits_ = lookups_ = cross_site_misses_ = 0;
-    clock_ = 0;
+    index_.clear();
   }
 
   std::size_t size() const { return entries_.size(); }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t lookups() const { return lookups_; }
-  /// Misses where a resident entry matched everything but the injection
-  /// site (subset of lookups - hits).
-  std::uint64_t cross_site_misses() const { return cross_site_misses_; }
-  /// Cached definitive failures currently resident - the "learned cuts".
-  std::size_t failure_entries() const;
 
-  /// Resident entries, for persistence (src/solver/store.h). Order is the
-  /// slot order, which is deterministic for a deterministic campaign.
+  /// Every entry in insertion order, for persistence (src/solver/store.h);
+  /// deterministic for a deterministic campaign.
   struct Exported {
     Key key;
     DpRelaxResult result;
     RelaxVars vars;
   };
-  std::vector<Exported> export_entries() const;
+  const std::vector<Exported>& export_entries() const { return entries_; }
 
  private:
-  struct Entry {
-    Key key;
-    std::uint64_t hash = 0;
-    DpRelaxResult result;
-    RelaxVars vars;
-    std::uint64_t stamp = 0;
-  };
-
   static std::uint64_t hash_key(const Key& k);
+  const Exported* lookup(const Key& key, std::uint64_t h) const;
 
-  std::size_t capacity_;
-  std::vector<Entry> entries_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t lookups_ = 0;
-  std::uint64_t cross_site_misses_ = 0;
-  std::uint64_t clock_ = 0;
+  std::vector<Exported> entries_;
+  /// hash_key -> position in entries_; equal hashes are told apart by key.
+  std::unordered_multimap<std::uint64_t, std::size_t> index_;
 };
 
 }  // namespace hltg

@@ -1,6 +1,8 @@
 // Shared deduction context: one SolverContext per generator (per campaign
 // worker), owning the learned-conflict store, the justification cache and
-// the DPRELAX memo that successive searches share.
+// the DPRELAX memo that successive searches share. The two stores keep
+// their built-in capacities (nogoods.h, justcache.h); the memo has none
+// (relax_cache.h) and is always on while the engine is.
 //
 // Scope and determinism: with scope == kError (the default) TG resets the
 // context at the start of every generate() call, so learned state is
@@ -51,21 +53,10 @@ struct SolverConfig {
   /// rescanning the whole store every propagation round. Same fixpoints,
   /// same firings - strictly fewer literal probes (docs/SOLVER.md).
   bool use_nogood_watches = true;
-  /// Memoize definitive DPRELAX backsolve results keyed on the full
-  /// subproblem (seed, constraints, entry state, injection). The failure
-  /// entries act as learned cuts for the window retry, which replays the
-  /// same plans against a wider window.
-  bool use_relax_cache = true;
   SolverScope scope = SolverScope::kError;
   /// Cross-worker nogood exchange (campaign scope only). Not owned; must
   /// outlive every generator attached to it. nullptr: no sharing.
   NogoodBoard* shared_board = nullptr;
-  std::size_t nogood_capacity = 256;
-  std::size_t cache_capacity = 512;
-  std::size_t relax_cache_capacity = 256;
-  /// Cuts wider than this are not worth storing: they almost never fire
-  /// again and linear matching would dominate.
-  std::size_t max_nogood_lits = 8;
 };
 
 struct SolverContext {
@@ -74,11 +65,7 @@ struct SolverContext {
   JustCache cache;
   RelaxCache relax;
 
-  explicit SolverContext(SolverConfig c = {})
-      : cfg(c),
-        nogoods(c.nogood_capacity, c.max_nogood_lits),
-        cache(c.cache_capacity),
-        relax(c.relax_cache_capacity) {
+  explicit SolverContext(SolverConfig c = {}) : cfg(c) {
     // Recording feeds the board; without one it would only burn memory.
     if (cfg.shared_board) nogoods.set_recording(true);
   }

@@ -161,7 +161,7 @@ bool decode_just(ByteSource& s, JustCache::Exported* j) {
 std::string encode_relax(const RelaxCache::Exported& r) {
   ByteSink s;
   s.put_u32(static_cast<std::uint32_t>(r.key.words.size()));
-  s.put_u32(r.key.site_words);
+  s.put_u32(0);  // former injection-suffix length; ignored on load
   for (const std::uint64_t w : r.key.words) s.put_u64(w);
   s.put_u8(static_cast<std::uint8_t>(r.result.status));
   s.put_u8(static_cast<std::uint8_t>(r.result.abort));
@@ -182,8 +182,8 @@ std::string encode_relax(const RelaxCache::Exported& r) {
 }
 
 bool decode_relax(ByteSource& s, RelaxCache::Exported* r) {
-  std::uint32_t words = 0;
-  if (!s.get_u32(&words) || !s.get_u32(&r->key.site_words) || words > s.n)
+  std::uint32_t words = 0, unused = 0;
+  if (!s.get_u32(&words) || !s.get_u32(&unused) || words > s.n)
     return false;
   r->key.words.clear();
   r->key.words.reserve(words);
@@ -192,7 +192,6 @@ bool decode_relax(ByteSource& s, RelaxCache::Exported* r) {
     if (!s.get_u64(&w)) return false;
     r->key.words.push_back(w);
   }
-  if (r->key.site_words > r->key.words.size()) return false;
   std::uint8_t status = 0, abort = 0;
   if (!s.get_u8(&status) || !s.get_u8(&abort) ||
       !s.get_u32(&r->result.iterations) ||

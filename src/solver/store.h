@@ -67,7 +67,8 @@ struct DedSnapshot {
 /// Snapshot of the resident deduction state of `ctx`.
 DedSnapshot export_context(const SolverContext& ctx);
 
-/// Replay `snap` into `ctx` (learn/insert/store; capacity limits apply).
+/// Replay `snap` into `ctx` (learn/insert/store; the nogood and
+/// justification-cache capacities apply, the relax memo keeps every entry).
 void import_context(const DedSnapshot& snap, SolverContext* ctx);
 
 inline constexpr std::uint32_t kDedStoreVersion = 2;

@@ -3,12 +3,14 @@
 // cache keys) keep their values, journal rows keep their byte format and
 // those that carry the old probe_* keys still replay, and the removed CLI
 // flags are rejected. The campaign CLI also reads its request flags the way
-// the daemon does (service/request.h).
+// the daemon does (service/request.h), and refuses --csv / --save-tests
+// paths it cannot write instead of reporting them written.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -195,6 +197,54 @@ TEST(CliCompat, EmptyPopulationIsAnError) {
 TEST(CliCompat, DropWithJobsIsRejected) {
   std::string out;
   EXPECT_EQ(run_cli("--stages WB --drop --jobs 2", &out), 1) << out;
+}
+
+TEST(CliCompat, SaveTestsCreatesItsDirectory) {
+  // --save-tests into a missing directory once printed "saved N tests"
+  // and exited 0 having written nothing.
+  const std::string root = testing::TempDir() + "hltg_cli_saved";
+  const std::string dir = root + "/nested/tests";
+  const std::string csv = testing::TempDir() + "hltg_cli_saved.csv";
+  std::filesystem::remove_all(root);
+  std::string out;
+  ASSERT_EQ(run_cli("--stages WB --save-tests " + dir + " --csv " + csv, &out),
+            0)
+      << out;
+  std::ifstream in(csv);
+  std::string line;
+  std::size_t row = 0, detected = 0;
+  std::getline(in, line);  // header
+  while (std::getline(in, line)) {
+    if (line.find(",detected_") != std::string::npos) {
+      ++detected;
+      EXPECT_TRUE(std::filesystem::exists(dir + "/test_" +
+                                          std::to_string(row) + ".txt"))
+          << row;
+    }
+    ++row;
+  }
+  EXPECT_GT(detected, 0u);
+  std::size_t files = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    files += e.path().filename().string().rfind("test_", 0) == 0;
+  EXPECT_EQ(files, detected);
+  std::filesystem::remove_all(root);
+  std::remove(csv.c_str());
+}
+
+TEST(CliCompat, UnwritableCsvIsAnError) {
+  // The CSV's parent directory is a regular file: no CSV can be written,
+  // so the run must refuse before the campaign instead of reporting
+  // "wrote".
+  const std::string blocker = testing::TempDir() + "hltg_cli_not_a_dir";
+  std::ofstream(blocker) << "x";
+  const std::string csv = blocker + "/out.csv";
+  std::string out;
+  EXPECT_EQ(run_cli("--stages WB --csv " + csv, &out), 1) << out;
+  EXPECT_NE(out.find(csv), std::string::npos) << out;
+  EXPECT_EQ(out.find("campaign summary"), std::string::npos) << out;
+  EXPECT_EQ(out.find("wrote"), std::string::npos) << out;
+  std::remove(blocker.c_str());
 }
 
 }  // namespace

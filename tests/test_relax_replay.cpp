@@ -71,6 +71,7 @@ TEST(RelaxReplay, WarmStartAnswersRelaxFromTheImportedMemo) {
     std::vector<TestCase> tests;
     std::vector<TgStatus> statuses;
     std::uint64_t relax_hits = 0;
+    std::uint64_t relax_lookups = 0;
     std::uint64_t relax_iterations = 0;
     std::uint64_t pair_captures = 0;
   };
@@ -83,6 +84,7 @@ TEST(RelaxReplay, WarmStartAnswersRelaxFromTheImportedMemo) {
       out.tests.push_back(r.test);
       out.statuses.push_back(r.status);
       out.relax_hits += r.stats.relax_hits;
+      out.relax_lookups += r.stats.relax_lookups;
       out.relax_iterations += r.stats.relax_iterations;
       out.pair_captures += r.stats.relax_pair_captures;
     }
@@ -101,7 +103,10 @@ TEST(RelaxReplay, WarmStartAnswersRelaxFromTheImportedMemo) {
     EXPECT_EQ(warm.tests[i].rf_init, cold.tests[i].rf_init) << i;
     EXPECT_EQ(warm.tests[i].dmem_init, cold.tests[i].dmem_init) << i;
   }
-  // The warmth is specifically the relax memo.
+  // The warmth is specifically the relax memo, and it is complete: every
+  // relax solve of the warm run replays one the cold run recorded.
+  EXPECT_GT(warm.relax_lookups, 0u);
+  EXPECT_EQ(warm.relax_hits, warm.relax_lookups);
   EXPECT_GT(warm.relax_hits, cold.relax_hits);
   // Replayed results carry the recorded iteration and pair-capture counts,
   // so the Table-1 stats stay byte-identical across cold and warm runs -
@@ -167,7 +172,6 @@ TEST(RelaxReplay, SnapshotSurvivesSerializationWithPairCaptures) {
   // included - a silent drop here would skew the warm-start Table-1 stats.
   RelaxCache::Exported e;
   e.key.words = {0x1111, 0x2222, 0x3333};
-  e.key.site_words = 1;
   e.result.status = TgStatus::kSuccess;
   e.result.iterations = 5;
   e.result.pair_captures = 3;

@@ -18,6 +18,7 @@
 #include "solver/justcache.h"
 #include "solver/nogoods.h"
 #include "solver/solver.h"
+#include "solver/store.h"
 
 namespace hltg {
 namespace {
@@ -453,7 +454,7 @@ TEST(SolverEquivalence, WatchedNogoodsMatchRescan) {
 // --------------------------------------------------------- DPRELAX memo
 
 TEST(RelaxCacheTest, ReplaysDefinitiveResultsAndSkipsAborts) {
-  RelaxCache cache(4);
+  RelaxCache cache;
   DpRelaxConfig cfg;
   RelaxVars entry;
   entry.imem = {0x11u, 0x22u};
@@ -464,6 +465,7 @@ TEST(RelaxCacheTest, ReplaysDefinitiveResultsAndSkipsAborts) {
   cons[0].value = 1;
   cons[0].why = "activation";
   ErrorInjection inj;
+  inj.stuck.push_back({NetId{4}, 0, true});
   const RelaxCache::Key key = RelaxCache::make_key(cfg, entry, cons, inj);
 
   DpRelaxResult out;
@@ -482,6 +484,24 @@ TEST(RelaxCacheTest, ReplaysDefinitiveResultsAndSkipsAborts) {
   EXPECT_EQ(out.iterations, 5u);
   EXPECT_EQ(vars.imem, final_vars.imem);
 
+  // The first definitive result for a key wins.
+  DpRelaxResult later = solved;
+  later.iterations = 6;
+  cache.store(key, later, entry);
+  ASSERT_TRUE(cache.find(key, &out, &vars));
+  EXPECT_EQ(out.iterations, 5u);
+  EXPECT_EQ(cache.size(), 1u);
+
+  // The same relaxation core under another injection is another
+  // subproblem: DPRELAX simulates the erroneous machine, so its result
+  // depends on the injection site.
+  ErrorInjection other_site;
+  other_site.stuck.push_back({NetId{9}, 2, false});
+  const RelaxCache::Key key_site =
+      RelaxCache::make_key(cfg, entry, cons, other_site);
+  EXPECT_NE(key, key_site);
+  EXPECT_FALSE(cache.find(key_site, &out, &vars));
+
   // Aborted (budget-fired) results are never stored: the retry runs live.
   std::vector<RelaxConstraint> cons2 = cons;
   cons2[0].cycle = 4;
@@ -491,51 +511,36 @@ TEST(RelaxCacheTest, ReplaysDefinitiveResultsAndSkipsAborts) {
   aborted.abort = AbortReason::kDeadline;
   cache.store(key2, aborted, final_vars);
   EXPECT_FALSE(cache.find(key2, &out, &vars));
-  EXPECT_EQ(cache.failure_entries(), 0u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(RelaxCacheTest, CountsCrossSiteMissesSeparately) {
-  // Two errors at different injection sites can pose the same relaxation
-  // core. The memo must still miss (DPRELAX simulates the faulty machine,
-  // so the result depends on the site) but the miss is tallied separately:
-  // it measures how much of the miss traffic is injection-site dependence
-  // rather than genuinely new subproblems.
-  RelaxCache cache(4);
-  DpRelaxConfig cfg;
-  RelaxVars entry;
-  entry.imem = {0x11u, 0x22u};
-  std::vector<RelaxConstraint> cons(1);
-  cons[0].net = 7;
-  cons[0].cycle = 3;
-  cons[0].value = 1;
-  cons[0].why = "activation";
-
-  ErrorInjection site_a;
-  site_a.stuck.push_back({NetId{4}, 0, true});
-  const RelaxCache::Key ka = RelaxCache::make_key(cfg, entry, cons, site_a);
-  DpRelaxResult solved;
-  solved.status = TgStatus::kSuccess;
-  cache.store(ka, solved, entry);
-
-  // Same core, different site: a miss, counted as cross-site.
-  ErrorInjection site_b;
-  site_b.stuck.push_back({NetId{9}, 2, false});
-  const RelaxCache::Key kb = RelaxCache::make_key(cfg, entry, cons, site_b);
-  DpRelaxResult out;
-  RelaxVars vars = entry;
-  EXPECT_FALSE(cache.find(kb, &out, &vars));
-  EXPECT_EQ(cache.cross_site_misses(), 1u);
-
-  // Different core (new constraint cycle): an ordinary miss.
-  std::vector<RelaxConstraint> cons2 = cons;
-  cons2[0].cycle = 9;
-  const RelaxCache::Key kc = RelaxCache::make_key(cfg, entry, cons2, site_a);
-  EXPECT_FALSE(cache.find(kc, &out, &vars));
-  EXPECT_EQ(cache.cross_site_misses(), 1u);
-
-  // The exact key still replays, and a hit is never a cross-site miss.
-  EXPECT_TRUE(cache.find(ka, &out, &vars));
-  EXPECT_EQ(cache.cross_site_misses(), 1u);
+TEST(RelaxCacheTest, ImportKeepsEveryEntryPastTheOldCapacity) {
+  // A warm start replays the memo of the run that wrote the store, in the
+  // order it was written; every imported entry must still be resident when
+  // its turn comes. 300 entries exceed the 256 slots the memo once had.
+  DedSnapshot snap;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    RelaxCache::Exported e;
+    e.key.words = {i, i * 7 + 1, 0xC0FFEEu};
+    e.result.status = i % 3 ? TgStatus::kSuccess : TgStatus::kFailure;
+    e.result.iterations = static_cast<std::uint32_t>(i);
+    e.vars.imem = {static_cast<std::uint32_t>(i)};
+    snap.relax.push_back(e);
+  }
+  SolverContext ctx;
+  import_context(snap, &ctx);
+  for (const RelaxCache::Exported& e : snap.relax) {
+    DpRelaxResult out;
+    RelaxVars vars;
+    ASSERT_TRUE(ctx.relax.find(e.key, &out, &vars)) << e.key.words[0];
+    EXPECT_EQ(out.status, e.result.status);
+    EXPECT_EQ(out.iterations, e.result.iterations);
+    EXPECT_EQ(vars.imem, e.vars.imem);
+  }
+  const DedSnapshot back = export_context(ctx);
+  ASSERT_EQ(back.relax.size(), snap.relax.size());
+  for (std::size_t i = 0; i < back.relax.size(); ++i)
+    EXPECT_EQ(back.relax[i].key, snap.relax[i].key) << i;
 }
 
 // --------------------------------------------- campaign-scope determinism

@@ -43,7 +43,6 @@ SolverContext populated_context() {
   ctx.cache.insert({{4, 2, true}, {6, 2, false}}, je);
   RelaxCache::Key rk;
   rk.words = {11, 22, 33, 44};
-  rk.site_words = 1;
   DpRelaxResult rr;
   rr.status = TgStatus::kSuccess;
   rr.iterations = 9;
@@ -108,6 +107,53 @@ TEST(DedStore, RoundTripsAContext) {
   EXPECT_EQ(again.nogoods, snap.nogoods);
   EXPECT_EQ(again.justs.size(), snap.justs.size());
   EXPECT_EQ(again.relax.size(), snap.relax.size());
+  std::remove(path.c_str());
+}
+
+std::uint32_t le32(const std::vector<char>& b, std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i)
+    v |= std::uint32_t{static_cast<unsigned char>(b[at + i])} << (8 * i);
+  return v;
+}
+
+void put_le32(std::vector<char>& b, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) b[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+TEST(DedStore, RelaxRecordWithTheFormerSiteWordsSlotSetLoads) {
+  // A relax record's second u32 once held the key's injection-suffix
+  // length, nonzero in every store written then; it is now written as 0
+  // and ignored on load. Set it in a saved record (re-sealing the CRC) and
+  // the record must still decode to the same entry.
+  const std::string path = temp_store("site_words");
+  const DedSnapshot snap = export_context(populated_context());
+  std::string why;
+  ASSERT_TRUE(save_ded_store(path, DedStoreMeta{}, snap, &why)) << why;
+
+  std::vector<char> bytes = slurp(path);
+  bool patched = false;
+  for (std::size_t at = 0; at + 16 <= bytes.size();) {
+    const std::uint32_t kind = le32(bytes, at + 4);
+    const std::uint32_t len = le32(bytes, at + 8);
+    ASSERT_LE(at + 16 + len, bytes.size());
+    if (kind == 4) {  // relax
+      EXPECT_EQ(le32(bytes, at + 16 + 4), 0u);
+      put_le32(bytes, at + 16 + 4, 3);
+      put_le32(bytes, at + 12, ded_crc32(bytes.data() + at + 16, len));
+      patched = true;
+    }
+    at += 16 + len;
+  }
+  ASSERT_TRUE(patched);
+  spit(path, bytes);
+
+  const DedStoreLoad load = load_ded_store(path, 0, 0);
+  ASSERT_TRUE(load.ok) << load.note;
+  EXPECT_EQ(load.skipped_records, 0u);
+  ASSERT_EQ(load.snapshot.relax.size(), 1u);
+  EXPECT_EQ(load.snapshot.relax[0].key, snap.relax[0].key);
+  EXPECT_EQ(load.snapshot.relax[0].vars.imem, snap.relax[0].vars.imem);
   std::remove(path.c_str());
 }
 

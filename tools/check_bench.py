@@ -11,7 +11,10 @@ model and the configuration.
 The report kind is auto-detected from the "bench" field:
 
   tg_solver  (bench_solver  -> BENCH_tg.json)
-      per-config search-effort counters vs baseline, detection equality.
+      per-config search-effort counters vs baseline, detection equality,
+      and a complete warm start: every DPRELAX solve of the warm_start
+      config replays from the imported memo (relax_hits == relax_lookups
+      > 0), whatever the baseline says.
   campaign   (bench_campaign -> BENCH_campaign.json)
       lane-engine sweep: per-width dropping-pass counters vs baseline,
       width-invariant detections, and the floor on the controller-pass
@@ -69,8 +72,16 @@ def check_tg(cur, base, tolerance, failures):
         for key in TG_GUARDED_COUNTERS:
             check_counter(failures, f"{cfg}.{key}", c.get(key), b.get(key),
                           tolerance)
+
+    warm = cur.get("warm_start") or {}
+    hits, lookups = warm.get("relax_hits"), warm.get("relax_lookups")
+    if not lookups or hits != lookups:
+        failures.append(f"warm_start: {hits} of {lookups} DPRELAX solves "
+                        "replayed from the imported memo - a warm start "
+                        "must replay every one")
     return (f"{len(TG_CONFIGS)} configs x {len(TG_GUARDED_COUNTERS)} "
-            f"counters within {tolerance:.0%} of baseline")
+            f"counters within {tolerance:.0%} of baseline, warm start "
+            f"replayed {hits}/{lookups} relax solves")
 
 
 def check_campaign(cur, base, tolerance, failures):
