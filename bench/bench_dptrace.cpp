@@ -33,7 +33,7 @@ void BM_DpTracePlans(benchmark::State& state) {
   cfg.window = static_cast<unsigned>(state.range(0));
   cfg.reuse = state.range(1) != 0;
   const DpTrace trace(model(), cfg);
-  DpTraceStats stats;
+  Effort stats;
   for (auto _ : state) {
     for (const char* s : kSites) {
       const NetId site = model().dp.find_net(s);
@@ -41,10 +41,10 @@ void BM_DpTracePlans(benchmark::State& state) {
     }
   }
   state.counters["expansions_per_iter"] = benchmark::Counter(
-      static_cast<double>(stats.expansions),
+      static_cast<double>(stats.dptrace_expansions),
       benchmark::Counter::kAvgIterations);
   state.counters["reused"] = benchmark::Counter(
-      static_cast<double>(stats.searches_reused),
+      static_cast<double>(stats.dptrace_reused),
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_DpTracePlans)

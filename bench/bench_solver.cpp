@@ -1,5 +1,5 @@
 // Solver-subsystem benchmark: the Table-1 bus-SSL error set generated under
-// four configurations, emitted as a machine-readable JSON report
+// six configurations, emitted as a machine-readable JSON report
 // (BENCH_tg.json) so CI can archive the numbers run over run and guard the
 // hot-path counters against regressions (tools/check_bench.py).
 //
@@ -20,8 +20,12 @@
 //   $ ./bench_solver [--quick] [--out BENCH_tg.json]
 //
 // Per configuration the report carries per-error wall-time p50/p95, the
-// decision/backtrack/implication totals, DPTRACE expansion counts, nogood
-// literal-probe counts and the cache hit rates. Headlines: the
+// detections, every Effort counter under its kEffortFields key
+// (util/effort.h) and the cache hit rate. `relax_pair_captures` is 0 here
+// by construction: every SSL activation constraint is kGoodEquals, and
+// DPRELAX captures a good/erroneous window pair only for kSiteDiffers
+// constraints (the MSE slice of tests/test_relax_replay.cpp runs them).
+// Headlines: the
 // (decisions + backtracks) reduction engine-on vs engine-off, the DPTRACE
 // expansion reduction and the nogood-probe reduction reuse-on vs reuse-off.
 // The benchmark also asserts that every configuration detects the *same*
@@ -34,6 +38,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/tg.h"
@@ -49,20 +54,7 @@ struct RunStats {
   std::vector<double> seconds;  ///< per-error wall time
   std::vector<bool> detected;   ///< per-error outcome
   std::size_t detected_count = 0;
-  std::uint64_t decisions = 0;
-  std::uint64_t backtracks = 0;
-  std::uint64_t implications = 0;
-  std::uint64_t learned = 0;
-  std::uint64_t nogood_hits = 0;
-  std::uint64_t nogood_comparisons = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_lookups = 0;
-  std::uint64_t dptrace_expansions = 0;
-  std::uint64_t dptrace_searches = 0;
-  std::uint64_t dptrace_reused = 0;
-  std::uint64_t relax_hits = 0;
-  std::uint64_t relax_lookups = 0;
-  std::uint64_t relax_pair_captures = 0;
+  Effort effort;
   double total_seconds = 0;
 
   double percentile(double p) const {
@@ -73,7 +65,9 @@ struct RunStats {
     return s[std::min(i, s.size() - 1)];
   }
   double cache_hit_rate() const {
-    return cache_lookups ? static_cast<double>(cache_hits) / cache_lookups : 0;
+    return effort.cache_lookups
+               ? static_cast<double>(effort.cache_hits) / effort.cache_lookups
+               : 0;
   }
 };
 
@@ -82,20 +76,7 @@ void fold(RunStats* out, const TgResult& r, double s) {
   out->total_seconds += s;
   out->detected.push_back(r.status == TgStatus::kSuccess);
   out->detected_count += r.status == TgStatus::kSuccess;
-  out->decisions += r.stats.decisions;
-  out->backtracks += r.stats.backtracks + r.stats.plan_retries;
-  out->implications += r.stats.implications;
-  out->learned += r.stats.learned;
-  out->nogood_hits += r.stats.nogood_hits;
-  out->nogood_comparisons += r.stats.nogood_comparisons;
-  out->cache_hits += r.stats.cache_hits;
-  out->cache_lookups += r.stats.cache_lookups;
-  out->dptrace_expansions += r.stats.dptrace_expansions;
-  out->dptrace_searches += r.stats.dptrace_searches;
-  out->dptrace_reused += r.stats.dptrace_reused;
-  out->relax_hits += r.stats.relax_hits;
-  out->relax_lookups += r.stats.relax_lookups;
-  out->relax_pair_captures += r.stats.relax_pair_captures;
+  out->effort += r.stats;
 }
 
 /// One generator over the whole population. `warm` (optional) is imported
@@ -144,33 +125,25 @@ RunStats run_sharded(const DlxModel& m, const std::vector<DesignError>& errors,
 }
 
 void emit(std::FILE* f, const char* name, const RunStats& r) {
-  std::fprintf(
-      f,
-      "  \"%s\": {\"seconds\": %.4f, \"per_error_p50\": %.6f, "
-      "\"per_error_p95\": %.6f, \"detected\": %zu, "
-      "\"decisions\": %llu, \"backtracks\": %llu, "
-      "\"implications\": %llu, \"learned\": %llu, "
-      "\"nogood_hits\": %llu, \"nogood_comparisons\": %llu, "
-      "\"cache_hits\": %llu, \"cache_lookups\": %llu, "
-      "\"cache_hit_rate\": %.4f, \"dptrace_expansions\": %llu, "
-      "\"dptrace_searches\": %llu, \"dptrace_reused\": %llu, "
-      "\"relax_hits\": %llu, \"relax_lookups\": %llu, "
-      "\"relax_pair_captures\": %llu}",
-      name, r.total_seconds, r.percentile(0.50), r.percentile(0.95),
-      r.detected_count, static_cast<unsigned long long>(r.decisions),
-      static_cast<unsigned long long>(r.backtracks),
-      static_cast<unsigned long long>(r.implications),
-      static_cast<unsigned long long>(r.learned),
-      static_cast<unsigned long long>(r.nogood_hits),
-      static_cast<unsigned long long>(r.nogood_comparisons),
-      static_cast<unsigned long long>(r.cache_hits),
-      static_cast<unsigned long long>(r.cache_lookups), r.cache_hit_rate(),
-      static_cast<unsigned long long>(r.dptrace_expansions),
-      static_cast<unsigned long long>(r.dptrace_searches),
-      static_cast<unsigned long long>(r.dptrace_reused),
-      static_cast<unsigned long long>(r.relax_hits),
-      static_cast<unsigned long long>(r.relax_lookups),
-      static_cast<unsigned long long>(r.relax_pair_captures));
+  std::fprintf(f,
+               "  \"%s\": {\"seconds\": %.4f, \"per_error_p50\": %.6f, "
+               "\"per_error_p95\": %.6f, \"detected\": %zu",
+               name, r.total_seconds, r.percentile(0.50), r.percentile(0.95),
+               r.detected_count);
+  for (const EffortField& e : kEffortFields)
+    std::fprintf(f, ", \"%s\": %llu", e.key,
+                 static_cast<unsigned long long>(r.effort.*e.member));
+  std::fprintf(f, ", \"cache_hit_rate\": %.4f}", r.cache_hit_rate());
+}
+
+/// One stdout line per configuration: wall time, detections, every counter.
+void summarize(const char* name, const RunStats& r) {
+  std::printf("%-14s: %.2fs, %zu detected", name, r.total_seconds,
+              r.detected_count);
+  for (const EffortField& e : kEffortFields)
+    std::printf(", %s %llu", e.key,
+                static_cast<unsigned long long>(r.effort.*e.member));
+  std::printf("\n");
 }
 
 double ratio(std::uint64_t base, std::uint64_t opt) {
@@ -202,91 +175,51 @@ int main(int argc, char** argv) {
   off_cfg.solver.enable = false;
   off_cfg.trace.reuse = false;
   const RunStats off = run(m, errors, off_cfg);
-  std::printf("engine off    : %.2fs, %zu detected, %llu decisions, "
-              "%llu backtracks, %llu expansions\n",
-              off.total_seconds, off.detected_count,
-              static_cast<unsigned long long>(off.decisions),
-              static_cast<unsigned long long>(off.backtracks),
-              static_cast<unsigned long long>(off.dptrace_expansions));
 
   TgConfig noreuse_cfg;
   noreuse_cfg.trace.reuse = false;
   noreuse_cfg.solver.use_nogood_watches = false;
   const RunStats noreuse = run(m, errors, noreuse_cfg);
-  std::printf("no reuse      : %.2fs, %zu detected, %llu expansions, "
-              "%llu nogood probes\n",
-              noreuse.total_seconds, noreuse.detected_count,
-              static_cast<unsigned long long>(noreuse.dptrace_expansions),
-              static_cast<unsigned long long>(noreuse.nogood_comparisons));
 
   const RunStats on = run(m, errors, TgConfig{});
-  std::printf("engine on     : %.2fs, %zu detected, %llu decisions, "
-              "%llu backtracks, %llu forced, %llu nogoods (%llu fired), "
-              "cache %.0f%% of %llu lookups, %llu expansions "
-              "(%llu/%llu searches reused), %llu nogood probes\n",
-              on.total_seconds, on.detected_count,
-              static_cast<unsigned long long>(on.decisions),
-              static_cast<unsigned long long>(on.backtracks),
-              static_cast<unsigned long long>(on.implications),
-              static_cast<unsigned long long>(on.learned),
-              static_cast<unsigned long long>(on.nogood_hits),
-              100.0 * on.cache_hit_rate(),
-              static_cast<unsigned long long>(on.cache_lookups),
-              static_cast<unsigned long long>(on.dptrace_expansions),
-              static_cast<unsigned long long>(on.dptrace_reused),
-              static_cast<unsigned long long>(on.dptrace_searches +
-                                              on.dptrace_reused),
-              static_cast<unsigned long long>(on.nogood_comparisons));
 
   TgConfig campaign_cfg;
   campaign_cfg.solver.scope = SolverScope::kCampaign;
   DedSnapshot snapshot;
   const RunStats campaign = run(m, errors, campaign_cfg, nullptr, &snapshot);
-  std::printf("campaign scope: %.2fs, %zu detected, cache %.0f%% of %llu "
-              "lookups, %llu relax replays of %llu\n",
-              campaign.total_seconds, campaign.detected_count,
-              100.0 * campaign.cache_hit_rate(),
-              static_cast<unsigned long long>(campaign.cache_lookups),
-              static_cast<unsigned long long>(campaign.relax_hits),
-              static_cast<unsigned long long>(campaign.relax_lookups));
 
   const RunStats warm = run(m, errors, campaign_cfg, &snapshot);
-  std::printf("warm start    : %.2fs, %zu detected, cache %.0f%% of %llu "
-              "lookups, %llu relax replays of %llu (%zu deductions "
-              "carried in)\n",
-              warm.total_seconds, warm.detected_count,
-              100.0 * warm.cache_hit_rate(),
-              static_cast<unsigned long long>(warm.cache_lookups),
-              static_cast<unsigned long long>(warm.relax_hits),
-              static_cast<unsigned long long>(warm.relax_lookups),
-              snapshot.entries());
 
   const RunStats shard = run_sharded(m, errors, TgConfig{}, 4);
-  std::printf("campaign shard: %.2fs, %zu detected, %llu nogoods learned, "
-              "cache %.0f%% of %llu lookups (4 lanes, shared board)\n",
-              shard.total_seconds, shard.detected_count,
-              static_cast<unsigned long long>(shard.learned),
-              100.0 * shard.cache_hit_rate(),
-              static_cast<unsigned long long>(shard.cache_lookups));
 
-  const double effort_reduction =
-      ratio(off.decisions + off.backtracks, on.decisions + on.backtracks);
+  const std::pair<const char*, const RunStats*> configs[] = {
+      {"engine_off", &off},  {"no_reuse", &noreuse},
+      {"engine_on", &on},    {"campaign_scope", &campaign},
+      {"warm_start", &warm}, {"campaign_shard", &shard}};
+  for (const auto& [name, stats] : configs) summarize(name, *stats);
+
+  const Effort &e_off = off.effort, &e_on = on.effort,
+               &e_noreuse = noreuse.effort;
+  const double effort_reduction = ratio(e_off.decisions + e_off.backtracks,
+                                        e_on.decisions + e_on.backtracks);
   const double expansion_reduction =
-      ratio(noreuse.dptrace_expansions, on.dptrace_expansions);
+      ratio(e_noreuse.dptrace_expansions, e_on.dptrace_expansions);
   const double probe_reduction =
-      ratio(noreuse.nogood_comparisons, on.nogood_comparisons);
+      ratio(e_noreuse.nogood_comparisons, e_on.nogood_comparisons);
   std::printf("search effort (decisions + backtracks): %llu -> %llu "
               "(%.2fx reduction)\n",
-              static_cast<unsigned long long>(off.decisions + off.backtracks),
-              static_cast<unsigned long long>(on.decisions + on.backtracks),
+              static_cast<unsigned long long>(e_off.decisions +
+                                              e_off.backtracks),
+              static_cast<unsigned long long>(e_on.decisions +
+                                              e_on.backtracks),
               effort_reduction);
   std::printf("DPTRACE expansions: %llu -> %llu (%.2fx reduction)\n",
-              static_cast<unsigned long long>(noreuse.dptrace_expansions),
-              static_cast<unsigned long long>(on.dptrace_expansions),
+              static_cast<unsigned long long>(e_noreuse.dptrace_expansions),
+              static_cast<unsigned long long>(e_on.dptrace_expansions),
               expansion_reduction);
   std::printf("nogood literal probes: %llu -> %llu (%.2fx reduction)\n",
-              static_cast<unsigned long long>(noreuse.nogood_comparisons),
-              static_cast<unsigned long long>(on.nogood_comparisons),
+              static_cast<unsigned long long>(e_noreuse.nogood_comparisons),
+              static_cast<unsigned long long>(e_on.nogood_comparisons),
               probe_reduction);
 
   const bool outcomes_identical = off.detected == on.detected &&
@@ -308,19 +241,11 @@ int main(int argc, char** argv) {
                "  \"quick\": %s,\n"
                "  \"errors\": %zu,\n",
                quick ? "true" : "false", errors.size());
-  emit(f, "engine_off", off);
-  std::fprintf(f, ",\n");
-  emit(f, "no_reuse", noreuse);
-  std::fprintf(f, ",\n");
-  emit(f, "engine_on", on);
-  std::fprintf(f, ",\n");
-  emit(f, "campaign_scope", campaign);
-  std::fprintf(f, ",\n");
-  emit(f, "warm_start", warm);
-  std::fprintf(f, ",\n");
-  emit(f, "campaign_shard", shard);
+  for (const auto& [name, stats] : configs) {
+    emit(f, name, *stats);
+    std::fprintf(f, ",\n");
+  }
   std::fprintf(f,
-               ",\n"
                "  \"effort_reduction\": %.3f,\n"
                "  \"expansion_reduction\": %.3f,\n"
                "  \"probe_reduction\": %.3f,\n"

@@ -28,6 +28,7 @@
 #include "solver/implication.h"
 #include "solver/solver.h"
 #include "util/budget.h"
+#include "util/effort.h"
 #include "util/status.h"
 
 namespace hltg {
@@ -42,19 +43,6 @@ struct SearchEvent {
   bool value;
 };
 
-struct CtrlJustStats {
-  std::uint64_t decisions = 0;
-  std::uint64_t backtracks = 0;
-  std::uint64_t implications = 0;
-  std::uint64_t learned = 0;      ///< nogoods recorded from conflict cuts
-  std::uint64_t nogood_hits = 0;  ///< learned nogoods that pruned or forced
-  /// Literal probes spent applying learned nogoods - the cost the watch
-  /// scheme attacks (the legacy rescan probes store x lits per round).
-  std::uint64_t nogood_comparisons = 0;
-  std::uint64_t cache_hits = 0;     ///< solves answered from the cache
-  std::uint64_t cache_lookups = 0;  ///< cache probes (hits + misses)
-};
-
 struct CtrlJustResult {
   TgStatus status = TgStatus::kFailure;
   /// Why the search unwound when status == kFailure with objectives still
@@ -66,7 +54,7 @@ struct CtrlJustResult {
   /// Assignments on CPI variables: (gate, cycle, value) - fixed instruction
   /// bits for the emitter.
   std::vector<std::tuple<GateId, unsigned, bool>> cpi_assignments;
-  CtrlJustStats stats;
+  Effort stats;  ///< the CTRLJUST counters of util/effort.h
   std::vector<SearchEvent> trace;  ///< populated when record_trace is set
 };
 

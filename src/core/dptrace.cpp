@@ -338,7 +338,7 @@ const DpTrace::SearchMemo* DpTrace::find_memo(NetId site,
 
 std::vector<PathPlan> DpTrace::plans(
     NetId site, const std::vector<RelaxConstraint>& activation,
-    Budget* budget, DpTraceStats* stats) const {
+    Budget* budget, Effort* stats) const {
   std::vector<PathPlan> out;
   if (!observable_[site]) return out;
 
@@ -382,7 +382,7 @@ std::vector<PathPlan> DpTrace::plans(
     mem.found.clear();
     mem.depth_run = depth_limit;
     mem.max_t2 = 0;
-    if (stats) ++stats->searches_run;
+    if (stats) ++stats->dptrace_searches;
     mem.nodes.push_back({site, 0, 0, -1, -1});
     heap.clear();
     heap.emplace_back(0u, 0);
@@ -391,7 +391,7 @@ std::vector<PathPlan> DpTrace::plans(
       std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
       const auto [cost, ni] = heap.back();
       heap.pop_back();
-      if (stats) ++stats->expansions;
+      if (stats) ++stats->dptrace_expansions;
       const SearchNode nd = mem.nodes[ni];
       for (std::size_t ei = 0; ei < edges_[nd.net].size(); ++ei) {
         const Edge& e = edges_[nd.net][ei];
@@ -432,7 +432,7 @@ std::vector<PathPlan> DpTrace::plans(
     if (cfg_.reuse) {
       mem = find_memo(site, depth_limit);
       if (mem) {
-        if (stats) ++stats->searches_reused;
+        if (stats) ++stats->dptrace_reused;
       } else {
         std::vector<SearchMemo>& recorded = search_memo_[site];
         recorded.emplace_back();

@@ -30,6 +30,7 @@
 #include "dlx/dlx.h"
 #include "netlist/scoap.h"
 #include "util/budget.h"
+#include "util/effort.h"
 
 namespace hltg {
 
@@ -49,14 +50,6 @@ struct DpTraceConfig {
   bool reuse = true;
 };
 
-/// Search-effort counters for the plan enumerator (the campaign benchmark
-/// tracks expansions per configuration; see docs/PERFORMANCE.md).
-struct DpTraceStats {
-  std::uint64_t expansions = 0;       ///< best-first queue pops
-  std::uint64_t searches_run = 0;     ///< activation cycles actually expanded
-  std::uint64_t searches_reused = 0;  ///< activation cycles served by reuse
-};
-
 class DpTrace {
  public:
   DpTrace(const DlxModel& m, DpTraceConfig cfg = {});
@@ -66,11 +59,12 @@ class DpTrace {
   /// constraints with their cycle set to the plan's activation cycle.
   /// `budget`, when given, is polled per activation cycle; a fired budget
   /// truncates the enumeration (already-found plans are returned).
-  /// `stats`, when given, accumulates search-effort counters.
+  /// `stats`, when given, accumulates the dptrace_expansions /
+  /// dptrace_searches / dptrace_reused counters.
   std::vector<PathPlan> plans(NetId site,
                               const std::vector<RelaxConstraint>& activation,
                               Budget* budget = nullptr,
-                              DpTraceStats* stats = nullptr) const;
+                              Effort* stats = nullptr) const;
 
   /// Static optimistic observability: can this net's error effect possibly
   /// reach an observation point (O-state could become O3)? Used by tests

@@ -81,29 +81,9 @@ TgResult TestGenerator::generate(const DesignError& err, Budget* budget) {
   if (first.status == TgStatus::kSuccess || cfg_.retry_window <= cfg_.window)
     return first;
   // A fired budget covers the whole attempt: no window retry on its dime.
-  if (first.stats.abort != AbortReason::kNone) return first;
+  if (first.abort != AbortReason::kNone) return first;
   TgResult second = generate_with_window(err, cfg_.retry_window, budget);
-  // Carry the accumulated effort of both attempts.
-  second.stats.plans_tried += first.stats.plans_tried;
-  second.stats.plan_retries += first.stats.plan_retries;
-  second.stats.decisions += first.stats.decisions;
-  second.stats.backtracks += first.stats.backtracks;
-  second.stats.implications += first.stats.implications;
-  second.stats.relax_iterations += first.stats.relax_iterations;
-  second.stats.learned += first.stats.learned;
-  second.stats.nogood_hits += first.stats.nogood_hits;
-  second.stats.nogood_comparisons += first.stats.nogood_comparisons;
-  second.stats.cache_hits += first.stats.cache_hits;
-  second.stats.cache_lookups += first.stats.cache_lookups;
-  second.stats.dptrace_expansions += first.stats.dptrace_expansions;
-  second.stats.dptrace_searches += first.stats.dptrace_searches;
-  second.stats.dptrace_reused += first.stats.dptrace_reused;
-  second.stats.relax_hits += first.stats.relax_hits;
-  second.stats.relax_lookups += first.stats.relax_lookups;
-  second.stats.relax_pair_captures += first.stats.relax_pair_captures;
-  second.stats.dptrace_ns += first.stats.dptrace_ns;
-  second.stats.ctrljust_ns += first.stats.ctrljust_ns;
-  second.stats.dprelax_ns += first.stats.dprelax_ns;
+  second.stats += first.stats;  // carry the effort of both attempts
   if (second.status != TgStatus::kSuccess && second.note.empty())
     second.note = first.note;
   return second;
@@ -118,7 +98,7 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
     const AbortReason why = budget->exhausted();
     if (why == AbortReason::kNone) return false;
     res.status = TgStatus::kFailure;
-    res.stats.abort = why;
+    res.abort = why;
     if (!res.note.empty()) res.note += "; ";
     res.note += "budget: " + std::string(to_string(why));
     return true;
@@ -156,14 +136,10 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
             .count());
   };
 
-  DpTraceStats trace_stats;
   const auto trace_t0 = tick();
   const auto plans =
-      tracer.plans(site, activation_constraints(err), budget, &trace_stats);
+      tracer.plans(site, activation_constraints(err), budget, &res.stats);
   res.stats.dptrace_ns += lap(trace_t0);
-  res.stats.dptrace_expansions += trace_stats.expansions;
-  res.stats.dptrace_searches += trace_stats.searches_run;
-  res.stats.dptrace_reused += trace_stats.searches_reused;
   if (budget_fired()) return res;
   if (plans.empty()) {
     res.note = "DPTRACE: no propagation path";
@@ -206,8 +182,8 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
     if (budget_fired()) return res;
     if (cfg_.shape_dedup && unconfirmed_shapes.count(shape_of(plan))) continue;
     if (cfg_.reset_precheck && reset_violates(plan)) continue;
-    ++res.stats.plans_tried;
-    if (res.stats.plans_tried > 1) ++res.stats.plan_retries;
+    // Every plan after the first is a path-level backtrack (Fig. 3).
+    if (++res.stats.plans_tried > 1) ++res.stats.backtracks;
 
     auto fail_note = [&](const std::string& what) {
       if (!res.note.empty()) res.note += "; ";
@@ -223,14 +199,7 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
     const auto cj_t0 = tick();
     const CtrlJustResult cr = cj.solve(objectives, budget);
     res.stats.ctrljust_ns += lap(cj_t0);
-    res.stats.decisions += cr.stats.decisions;
-    res.stats.backtracks += cr.stats.backtracks;
-    res.stats.implications += cr.stats.implications;
-    res.stats.learned += cr.stats.learned;
-    res.stats.nogood_hits += cr.stats.nogood_hits;
-    res.stats.nogood_comparisons += cr.stats.nogood_comparisons;
-    res.stats.cache_hits += cr.stats.cache_hits;
-    res.stats.cache_lookups += cr.stats.cache_lookups;
+    res.stats += cr.stats;
     if (cr.status != TgStatus::kSuccess) {
       // Per-search caps (cr.abort) just fail this plan; only the
       // attempt-wide budget aborts the whole error.
@@ -362,22 +331,14 @@ TgResult TestGenerator::try_control_flow_macro(const DesignError& err) const {
 namespace {
 ErrorAttempt to_attempt(const TgResult& r, double seconds) {
   ErrorAttempt a;
+  static_cast<Effort&>(a) = r.stats;
   a.seconds = seconds;
   a.generated = r.status == TgStatus::kSuccess;
   a.sim_confirmed = a.generated;  // generate() confirms before returning
   a.test = r.test;
   a.test_length = r.test_length;
-  a.backtracks = r.stats.backtracks + r.stats.plan_retries;
-  a.decisions = r.stats.decisions;
-  a.implications = r.stats.implications;
-  a.learned = r.stats.learned;
-  a.nogood_hits = r.stats.nogood_hits;
-  a.cache_hits = r.stats.cache_hits;
-  a.dptrace_ns = r.stats.dptrace_ns;
-  a.ctrljust_ns = r.stats.ctrljust_ns;
-  a.dprelax_ns = r.stats.dprelax_ns;
   a.note = r.note;
-  a.abort = r.stats.abort;
+  a.abort = r.abort;
   return a;
 }
 }  // namespace

@@ -46,42 +46,15 @@ struct TgConfig {
   TgConfig() { trace.window = window; }
 };
 
-struct TgStats {
-  std::uint64_t plans_tried = 0;
-  std::uint64_t plan_retries = 0;   ///< coarse Fig.-3 backtracks (path level)
-  std::uint64_t decisions = 0;
-  std::uint64_t backtracks = 0;     ///< CTRLJUST search backtracks
-  std::uint64_t implications = 0;
-  std::uint64_t relax_iterations = 0;
-  std::uint64_t learned = 0;        ///< nogoods recorded by conflict analysis
-  std::uint64_t nogood_hits = 0;    ///< learned nogoods that pruned or forced
-  /// Literal probes spent applying nogoods (rescan or watch scheme).
-  std::uint64_t nogood_comparisons = 0;
-  std::uint64_t cache_hits = 0;     ///< CTRLJUST solves answered from cache
-  std::uint64_t cache_lookups = 0;  ///< cache probes (hits + misses)
-  std::uint64_t dptrace_expansions = 0;  ///< best-first nodes expanded
-  std::uint64_t dptrace_searches = 0;    ///< per-activation searches run
-  std::uint64_t dptrace_reused = 0;      ///< searches answered by the memo
-  std::uint64_t relax_hits = 0;     ///< DPRELAX solves replayed from the memo
-  std::uint64_t relax_lookups = 0;  ///< DPRELAX memo probes
-  /// DPRELAX good+err window captures run as one 2-lane batch simulation
-  /// (sim/batch_sim) instead of two full window simulations.
-  std::uint64_t relax_pair_captures = 0;
-  // Per-phase wall time (monotonic clock), for the campaign CSV / --replay.
-  std::uint64_t dptrace_ns = 0;
-  std::uint64_t ctrljust_ns = 0;
-  std::uint64_t dprelax_ns = 0;
+struct TgResult {
+  TgStatus status = TgStatus::kFailure;
   /// Set when the attempt unwound because its Budget fired (deadline /
   /// backtracks / decisions / cancelled); kNone for ordinary exhaustion of
   /// the plan list or for success.
   AbortReason abort = AbortReason::kNone;
-};
-
-struct TgResult {
-  TgStatus status = TgStatus::kFailure;
   TestCase test;
   unsigned test_length = 0;  ///< instructions issued through observation
-  TgStats stats;
+  Effort stats;              ///< summed over both windows and every plan
   std::string note;
 };
 
@@ -91,7 +64,7 @@ class TestGenerator {
 
   /// `budget`, when given, covers the whole attempt (both windows, every
   /// plan, all three engines); when it fires mid-search the attempt unwinds
-  /// cleanly with kFailure and stats.abort set.
+  /// cleanly with kFailure and abort set.
   TgResult generate(const DesignError& err, Budget* budget = nullptr);
 
   /// One attempt with a fixed window (generate() adds the window retry).

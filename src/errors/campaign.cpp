@@ -43,17 +43,18 @@ std::string CampaignStats::table1(const std::string& title) const {
   t.add_kv("Average test sequence length", fmt_double(avg_test_length, 1));
   t.add_kv("No. of backtracks (detected errors only)",
            std::to_string(backtracks));
-  if (learned > 0 || cache_hits > 0 || nogood_hits > 0) {
-    t.add_kv("Solver: nogoods learned", std::to_string(learned));
-    t.add_kv("Solver: nogood prunes/forcings", std::to_string(nogood_hits));
-    t.add_kv("Solver: justification cache hits", std::to_string(cache_hits));
+  const Effort& e = effort;
+  if (e.learned > 0 || e.cache_hits > 0 || e.nogood_hits > 0) {
+    t.add_kv("Solver: nogoods learned", std::to_string(e.learned));
+    t.add_kv("Solver: nogood prunes/forcings", std::to_string(e.nogood_hits));
+    t.add_kv("Solver: justification cache hits", std::to_string(e.cache_hits));
   }
   // Phase attribution renders only for instrumented strategies, so the
   // summary of older journals / custom generators is unchanged.
-  if (dptrace_ns > 0 || ctrljust_ns > 0 || dprelax_ns > 0) {
-    t.add_kv("Phase time: DPTRACE [ms]", fmt_double(dptrace_ns / 1e6, 1));
-    t.add_kv("Phase time: CTRLJUST [ms]", fmt_double(ctrljust_ns / 1e6, 1));
-    t.add_kv("Phase time: DPRELAX [ms]", fmt_double(dprelax_ns / 1e6, 1));
+  if (has_phase_time(e)) {
+    t.add_kv("Phase time: DPTRACE [ms]", fmt_double(e.dptrace_ns / 1e6, 1));
+    t.add_kv("Phase time: CTRLJUST [ms]", fmt_double(e.ctrljust_ns / 1e6, 1));
+    t.add_kv("Phase time: DPRELAX [ms]", fmt_double(e.dprelax_ns / 1e6, 1));
   }
   t.add_kv("CPU time [minutes]", fmt_double(cpu_seconds / 60.0, 2));
   return t.to_string();
@@ -90,13 +91,7 @@ void CampaignStats::add_attempt(const ErrorAttempt& a,
       case AbortReason::kNone: break;
     }
   }
-  implications += a.implications;
-  learned += a.learned;
-  nogood_hits += a.nogood_hits;
-  cache_hits += a.cache_hits;
-  dptrace_ns += a.dptrace_ns;
-  ctrljust_ns += a.ctrljust_ns;
-  dprelax_ns += a.dprelax_ns;
+  effort += a;
   cpu_seconds += a.seconds;
 }
 
@@ -108,20 +103,12 @@ void append_note(std::string* dst, const std::string& more) {
   *dst += more;
 }
 
-/// A rescued row (fallback-detected or recovered cross-config) carries the
-/// effort of the attempt it replaced, so Table-1 cost and phase time stay
-/// honest.
+/// A row that a second attempt touched (a fallback or a cross-config
+/// retry, rescued or not) carries the effort of both, so Table-1 cost and
+/// phase time stay honest.
 void add_effort(ErrorAttempt* to, const ErrorAttempt& from) {
   to->seconds += from.seconds;
-  to->backtracks += from.backtracks;
-  to->decisions += from.decisions;
-  to->implications += from.implications;
-  to->learned += from.learned;
-  to->nogood_hits += from.nogood_hits;
-  to->cache_hits += from.cache_hits;
-  to->dptrace_ns += from.dptrace_ns;
-  to->ctrljust_ns += from.ctrljust_ns;
-  to->dprelax_ns += from.dprelax_ns;
+  *to += from;
 }
 
 /// Self-checking cross-check (docs/ROBUSTNESS.md): re-validate a detection
@@ -183,7 +170,7 @@ void apply_triage(const DesignError& err, ErrorAttempt* a,
     }
   }
   if (!re_ok) {
-    a->seconds += re.seconds;
+    add_effort(a, re);
     append_note(&a->note, "cross-config retry did not confirm");
     return;
   }
@@ -268,8 +255,8 @@ ErrorAttempt attempt_one_error(const DesignError& err, std::size_t index,
   }
   if (!fb.detected()) {
     // Keep the primary attempt's record (its abort reason explains the
-    // Table-1 outcome); charge the fallback's time and note its failure.
-    a.seconds += fb.seconds;
+    // Table-1 outcome); charge the fallback's effort and note its failure.
+    add_effort(&a, fb);
     append_note(&a.note,
                 "fallback failed" + (fb.note.empty() ? "" : ": " + fb.note));
     apply_triage(err, &a, cfg);

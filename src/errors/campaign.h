@@ -19,6 +19,7 @@
 #include "errors/inject.h"
 #include "isa/spec_sim.h"
 #include "util/budget.h"
+#include "util/effort.h"
 
 namespace hltg {
 
@@ -69,25 +70,13 @@ constexpr WitnessVerdict witness_verdict_from(std::string_view s) {
   return WitnessVerdict::kUnchecked;
 }
 
-/// Result of attempting one error.
-struct ErrorAttempt {
+/// Result of attempting one error. The inherited Effort counters are the
+/// attempt's search effort (zero for strategies that do not count; a row
+/// replayed from the journal restores only the journaled ones).
+struct ErrorAttempt : Effort {
   bool generated = false;       ///< a test was produced
   bool sim_confirmed = false;   ///< dual simulation shows a mismatch
   unsigned test_length = 0;     ///< instructions (excluding drain NOPs)
-  std::uint64_t backtracks = 0;
-  std::uint64_t decisions = 0;
-  // Solver-layer effort (src/solver/): forced values, learned nogoods,
-  // nogood firings and justification-cache hits of the attempt.
-  std::uint64_t implications = 0;
-  std::uint64_t learned = 0;
-  std::uint64_t nogood_hits = 0;
-  std::uint64_t cache_hits = 0;
-  // Per-phase wall time of the attempt (monotonic clock; zero for
-  // strategies that predate the instrumentation or for replayed rows from
-  // an old journal).
-  std::uint64_t dptrace_ns = 0;
-  std::uint64_t ctrljust_ns = 0;
-  std::uint64_t dprelax_ns = 0;
   std::uint64_t probe_ns = 0;  ///< always zero; kept for existing readers
   double seconds = 0.0;
   TestCase test;
@@ -165,18 +154,10 @@ struct CampaignStats {
   std::size_t drop_mismatches = 0;   ///< batch-drop claims the oracle refuted
   double avg_test_length = 0.0;       ///< over detected errors
   std::uint64_t backtracks = 0;       ///< over detected errors (Table 1)
-  std::uint64_t decisions = 0;
-  /// Solver-layer tallies over all attempted errors (zero with the legacy
-  /// back end or --solver=off).
-  std::uint64_t implications = 0;
-  std::uint64_t learned = 0;
-  std::uint64_t nogood_hits = 0;
-  std::uint64_t cache_hits = 0;
-  /// Per-phase wall-time attribution over all attempted errors (zero for
-  /// uninstrumented strategies; see ErrorAttempt).
-  std::uint64_t dptrace_ns = 0;
-  std::uint64_t ctrljust_ns = 0;
-  std::uint64_t dprelax_ns = 0;
+  std::uint64_t decisions = 0;        ///< over detected errors
+  /// Every effort counter summed over all attempted errors. Resumed rows
+  /// carry only the journaled counters (util/effort.h).
+  Effort effort;
   double cpu_seconds = 0.0;
   std::vector<unsigned> length_histogram;  ///< index = length
 

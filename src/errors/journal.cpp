@@ -76,17 +76,12 @@ std::string journal_row_line(std::size_t index, const ErrorAttempt& a) {
   os << "{\"index\":" << index
      << ",\"generated\":" << (a.generated ? "true" : "false")
      << ",\"sim_confirmed\":" << (a.sim_confirmed ? "true" : "false")
-     << ",\"test_length\":" << a.test_length
-     << ",\"backtracks\":" << a.backtracks << ",\"decisions\":" << a.decisions
-     << ",\"implications\":" << a.implications << ",\"learned\":" << a.learned
-     << ",\"nogood_hits\":" << a.nogood_hits
-     << ",\"cache_hits\":" << a.cache_hits;
-  // Phase timings are emitted only when present, so journals from
-  // uninstrumented strategies keep their old byte layout.
-  if (a.dptrace_ns || a.ctrljust_ns || a.dprelax_ns)
-    os << ",\"dptrace_ns\":" << a.dptrace_ns
-       << ",\"ctrljust_ns\":" << a.ctrljust_ns
-       << ",\"dprelax_ns\":" << a.dprelax_ns;
+     << ",\"test_length\":" << a.test_length;
+  const bool phases = has_phase_time(a);
+  for (const EffortField& f : kEffortFields)
+    if (f.journal == EffortJournal::kEveryRow ||
+        (f.journal == EffortJournal::kPhaseTime && phases))
+      os << ",\"" << f.key << "\":" << a.*f.member;
   os << ",\"seconds\":" << fmt_seconds(a.seconds) << ",\"abort\":\""
      << to_string(a.abort) << "\",\"via_fallback\":"
      << (a.via_fallback ? "true" : "false") << ",\"note\":\""
@@ -156,17 +151,10 @@ JournalReplay load_journal(const std::string& path) {
     std::uint64_t len = 0;
     j.get_u64("test_length", &len);
     a.test_length = static_cast<unsigned>(len);
-    j.get_u64("backtracks", &a.backtracks);
-    j.get_u64("decisions", &a.decisions);
-    // Solver fields are absent in pre-solver journals; the zero defaults
-    // keep those journals replayable.
-    j.get_u64("implications", &a.implications);
-    j.get_u64("learned", &a.learned);
-    j.get_u64("nogood_hits", &a.nogood_hits);
-    j.get_u64("cache_hits", &a.cache_hits);
-    j.get_u64("dptrace_ns", &a.dptrace_ns);
-    j.get_u64("ctrljust_ns", &a.ctrljust_ns);
-    j.get_u64("dprelax_ns", &a.dprelax_ns);
+    // Counters a row lacks (pre-solver journals, rows without phase time)
+    // keep their zero defaults, so those journals stay replayable.
+    for (const EffortField& f : kEffortFields)
+      if (f.journal != EffortJournal::kNever) j.get_u64(f.key, &(a.*f.member));
     j.get_double("seconds", &a.seconds);
     if (j.get_string("abort", &abort_s)) a.abort = abort_reason_from(abort_s);
     j.get_bool("via_fallback", &a.via_fallback);

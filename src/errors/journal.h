@@ -17,9 +17,13 @@
 //                   against a different design or solver configuration
 //                   would silently corrupt the campaign statistics.
 //   line 2+ rows    {"index":I,"generated":b,"sim_confirmed":b,
-//                    "test_length":N,"backtracks":N,"decisions":N,
+//                    "test_length":N,<effort counters>,
 //                    "seconds":F,"abort":"<reason>","via_fallback":b,
 //                    "note":"...","test":"<testcase_io text>"}
+//                   The effort counters are "key":N pairs in the order
+//                   and under the journal rule of kEffortFields
+//                   (util/effort.h): six on every row, the three phase
+//                   times only when one of them is nonzero.
 // Self-checking campaigns append optional triage fields per row (omitted
 // when at their defaults, so unverified journals keep the old layout):
 // "verify":"confirmed|claim_mismatch|oracle_error", "recovered":b,

@@ -8,8 +8,9 @@
 
 namespace hltg {
 
-/// One row per error: model, description, outcome, test length, backtracks,
-/// decisions, seconds.
+/// One row per error, columns model, error, outcome, abort, verify,
+/// test_length, backtracks, decisions, seconds, dptrace_ns, ctrljust_ns,
+/// dprelax_ns. Columns 9-12 are wall-clock timings.
 std::string campaign_csv(const Netlist& nl, const CampaignResult& res);
 
 /// Markdown: the Table-1 block plus a per-error outcome table.

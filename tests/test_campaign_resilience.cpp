@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
+#include <string>
 
 #include "baseline/random_tg.h"
 #include "core/tg.h"
@@ -14,6 +16,7 @@
 #include "isa/testcase_io.h"
 #include "sim/cosim.h"
 #include "util/budget.h"
+#include "util/effort.h"
 
 namespace hltg {
 namespace {
@@ -110,7 +113,7 @@ TEST(Budget, TgAttemptAbortsOnExpiredDeadline) {
   b.set_deadline(Budget::Clock::now());
   const TgResult r = tg.generate(ssl("ex.alu_add", 0, false), &b);
   EXPECT_EQ(r.status, TgStatus::kFailure);
-  EXPECT_EQ(r.stats.abort, AbortReason::kDeadline);
+  EXPECT_EQ(r.abort, AbortReason::kDeadline);
   EXPECT_NE(r.note.find("deadline"), std::string::npos);
 }
 
@@ -123,7 +126,7 @@ TEST(Budget, TgBacktrackCapSpansWholeAttempt) {
   b.set_max_decisions(3);  // and decisions, whichever trips first
   const TgResult r = tg.generate(ssl("ex.alu_add", 7, true), &b);
   if (r.status != TgStatus::kSuccess) {
-    EXPECT_NE(r.stats.abort, AbortReason::kNone);
+    EXPECT_NE(r.abort, AbortReason::kNone);
   } else {
     // Found a test within three decisions and zero backtracks: legitimate.
     EXPECT_LE(r.stats.decisions, 4u);
@@ -254,10 +257,10 @@ TEST(FaultPlan, FallbackRescueCarriesPrimaryEffortAndPhaseTime) {
   EXPECT_EQ(a.ctrljust_ns, 20070u);
   EXPECT_EQ(a.dprelax_ns, 300700u);
   EXPECT_DOUBLE_EQ(a.seconds, 0.75);
-  EXPECT_EQ(res.stats.dptrace_ns, 1007u);
-  EXPECT_EQ(res.stats.ctrljust_ns, 20070u);
-  EXPECT_EQ(res.stats.dprelax_ns, 300700u);
-  EXPECT_EQ(res.stats.implications, 40u);
+  EXPECT_EQ(res.stats.effort.dptrace_ns, 1007u);
+  EXPECT_EQ(res.stats.effort.ctrljust_ns, 20070u);
+  EXPECT_EQ(res.stats.effort.dprelax_ns, 300700u);
+  EXPECT_EQ(res.stats.effort.implications, 40u);
   EXPECT_DOUBLE_EQ(res.stats.cpu_seconds, 0.75);
 }
 
@@ -457,12 +460,21 @@ TEST(Journal, FsyncBatchCrashCutReplaysSyncedPrefix) {
 }
 
 TEST(Journal, SolverCountersRoundTrip) {
+  // The counter table itself: distinct keys, one member per row (a
+  // duplicated member pointer reads back another row's value), and a
+  // journal round trip that restores exactly the journaled counters.
   ErrorAttempt a;
   a.generated = a.sim_confirmed = true;
-  a.implications = 12345;
-  a.learned = 17;
-  a.nogood_hits = 9;
-  a.cache_hits = 4;
+  std::set<std::string> keys;
+  std::uint64_t value = 100;
+  for (const EffortField& f : kEffortFields) {
+    EXPECT_TRUE(keys.insert(f.key).second) << "duplicate key " << f.key;
+    a.*f.member = ++value;
+  }
+  value = 100;
+  for (const EffortField& f : kEffortFields)
+    EXPECT_EQ(a.*f.member, ++value) << f.key << " shares its member";
+
   const std::string path = temp_journal("solver_fields");
   {
     std::ofstream out(path);
@@ -470,10 +482,10 @@ TEST(Journal, SolverCountersRoundTrip) {
   }
   const JournalReplay jr = load_journal(path);
   ASSERT_EQ(jr.rows.count(0), 1u);
-  EXPECT_EQ(jr.rows.at(0).implications, 12345u);
-  EXPECT_EQ(jr.rows.at(0).learned, 17u);
-  EXPECT_EQ(jr.rows.at(0).nogood_hits, 9u);
-  EXPECT_EQ(jr.rows.at(0).cache_hits, 4u);
+  for (const EffortField& f : kEffortFields)
+    EXPECT_EQ(jr.rows.at(0).*f.member,
+              f.journal == EffortJournal::kNever ? 0u : a.*f.member)
+        << f.key;
   std::remove(path.c_str());
 
   // Pre-solver journals (no solver fields) stay replayable with zeros.

@@ -247,15 +247,15 @@ TEST(DpTraceReuse, ReuseSkipsSearchesAndCutsExpansions) {
   DpTraceConfig legacy_cfg;
   legacy_cfg.reuse = false;
   const DpTrace legacy(model(), legacy_cfg);
-  DpTraceStats on{}, off{};
+  Effort on{}, off{};
   for (NetId site : sites) {
     tracer().plans(site, act_bit0(site), nullptr, &on);
     legacy.plans(site, act_bit0(site), nullptr, &off);
   }
-  EXPECT_GT(on.searches_reused, 0u);
-  EXPECT_EQ(on.searches_run + on.searches_reused,
-            off.searches_run);  // same activation cycles visited
-  EXPECT_LT(on.expansions, off.expansions);
+  EXPECT_GT(on.dptrace_reused, 0u);
+  EXPECT_EQ(on.dptrace_searches + on.dptrace_reused,
+            off.dptrace_searches);  // same activation cycles visited
+  EXPECT_LT(on.dptrace_expansions, off.dptrace_expansions);
 }
 
 TEST(DpTrace, HopsAreConnectedInTime) {

@@ -15,6 +15,7 @@
 #include "core/tg.h"
 #include "dlx/dlx.h"
 #include "errors/bus_ssl.h"
+#include "errors/mse.h"
 #include "solver/store.h"
 
 namespace hltg {
@@ -56,24 +57,19 @@ TEST(RelaxPlanSeed, WindowsNeverCollideOverPlanSpace) {
 
 // --------------------------------------------------- warm-start replay
 
-TEST(RelaxReplay, WarmStartAnswersRelaxFromTheImportedMemo) {
-  // Generate for a slice of errors with a campaign-scope context, export
-  // it, then regenerate with the snapshot imported into a fresh generator:
-  // the emitted tests must be byte-identical while DPRELAX solves are
-  // answered from the memo instead of re-running relaxation sweeps.
-  std::vector<DesignError> errors = wrap(enumerate_bus_ssl(model().dp));
-  if (errors.size() > 8) errors.resize(8);
-
+/// Generate `errors` with a campaign-scope context, export it, then
+/// regenerate with the snapshot imported into a fresh generator: the
+/// emitted tests must be byte-identical while DPRELAX solves are answered
+/// from the memo instead of re-running relaxation sweeps. Returns the cold
+/// run's effort.
+Effort expect_warm_start_replays(const std::vector<DesignError>& errors) {
   TgConfig cfg;
   cfg.solver.scope = SolverScope::kCampaign;
 
   struct RunOut {
     std::vector<TestCase> tests;
     std::vector<TgStatus> statuses;
-    std::uint64_t relax_hits = 0;
-    std::uint64_t relax_lookups = 0;
-    std::uint64_t relax_iterations = 0;
-    std::uint64_t pair_captures = 0;
+    Effort effort;
   };
   auto run = [&](const DedSnapshot* warm, DedSnapshot* out_snap) {
     TestGenerator tg(model(), cfg);
@@ -83,10 +79,7 @@ TEST(RelaxReplay, WarmStartAnswersRelaxFromTheImportedMemo) {
       const TgResult r = tg.generate(e);
       out.tests.push_back(r.test);
       out.statuses.push_back(r.status);
-      out.relax_hits += r.stats.relax_hits;
-      out.relax_lookups += r.stats.relax_lookups;
-      out.relax_iterations += r.stats.relax_iterations;
-      out.pair_captures += r.stats.relax_pair_captures;
+      out.effort += r.stats;
     }
     if (out_snap) *out_snap = export_context(tg.solver_context());
     return out;
@@ -94,10 +87,10 @@ TEST(RelaxReplay, WarmStartAnswersRelaxFromTheImportedMemo) {
 
   DedSnapshot snap;
   const RunOut cold = run(nullptr, &snap);
-  ASSERT_FALSE(snap.relax.empty()) << "cold run recorded no relax memos";
+  EXPECT_FALSE(snap.relax.empty()) << "cold run recorded no relax memos";
 
   const RunOut warm = run(&snap, nullptr);
-  ASSERT_EQ(warm.statuses, cold.statuses);
+  EXPECT_EQ(warm.statuses, cold.statuses);
   for (std::size_t i = 0; i < errors.size(); ++i) {
     EXPECT_EQ(warm.tests[i].imem, cold.tests[i].imem) << i;
     EXPECT_EQ(warm.tests[i].rf_init, cold.tests[i].rf_init) << i;
@@ -105,14 +98,34 @@ TEST(RelaxReplay, WarmStartAnswersRelaxFromTheImportedMemo) {
   }
   // The warmth is specifically the relax memo, and it is complete: every
   // relax solve of the warm run replays one the cold run recorded.
-  EXPECT_GT(warm.relax_lookups, 0u);
-  EXPECT_EQ(warm.relax_hits, warm.relax_lookups);
-  EXPECT_GT(warm.relax_hits, cold.relax_hits);
+  EXPECT_GT(warm.effort.relax_lookups, 0u);
+  EXPECT_EQ(warm.effort.relax_hits, warm.effort.relax_lookups);
+  EXPECT_GT(warm.effort.relax_hits, cold.effort.relax_hits);
   // Replayed results carry the recorded iteration and pair-capture counts,
   // so the Table-1 stats stay byte-identical across cold and warm runs -
   // the memo accelerates, it never changes what is reported.
-  EXPECT_EQ(warm.relax_iterations, cold.relax_iterations);
-  EXPECT_EQ(warm.pair_captures, cold.pair_captures);
+  EXPECT_EQ(warm.effort.relax_iterations, cold.effort.relax_iterations);
+  EXPECT_EQ(warm.effort.relax_pair_captures, cold.effort.relax_pair_captures);
+  return cold.effort;
+}
+
+std::vector<DesignError> first8(std::vector<DesignError> errors) {
+  if (errors.size() > 8) errors.resize(8);
+  return errors;
+}
+
+TEST(RelaxReplay, WarmStartAnswersRelaxFromTheImportedMemo) {
+  {
+    SCOPED_TRACE("ssl");
+    expect_warm_start_replays(first8(wrap(enumerate_bus_ssl(model().dp))));
+  }
+  // Every SSL activation constraint is kGoodEquals, so DPRELAX never
+  // captures a good/erroneous window pair there and the pair-capture check
+  // compares 0 with 0. The MSE slice (kSiteDiffers) makes it real.
+  SCOPED_TRACE("mse");
+  const Effort cold = expect_warm_start_replays(first8(wrap(enumerate_mse(
+      model().dp, {Stage::kEX, Stage::kMEM, Stage::kWB}))));
+  EXPECT_GT(cold.relax_pair_captures, 0u);
 }
 
 TEST(RelaxReplay, MemoEntriesIndependentOfPriorErrorEffortHistory) {

@@ -570,7 +570,7 @@ TEST(SolverEquivalence, CampaignScopeMatchesErrorScope) {
     for (const DesignError& e : errors) {
       const TgResult r = tg.generate(e);
       *reuse += r.stats.cache_hits + r.stats.relax_hits;
-      out.push_back({r.status, r.stats.abort, r.test_length, r.test.imem,
+      out.push_back({r.status, r.abort, r.test_length, r.test.imem,
                      r.test.rf_init, r.test.dmem_init});
     }
     return out;

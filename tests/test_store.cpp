@@ -334,7 +334,7 @@ TEST(DedStore, WarmStartIsOutcomeNeutralThroughTheGenerator) {
     for (const DesignError& e : errors) {
       const TgResult r = tg.generate(e);
       if (reuse) *reuse += r.stats.cache_hits + r.stats.relax_hits;
-      out.push_back({r.status, r.stats.abort, r.test_length, r.test.imem,
+      out.push_back({r.status, r.abort, r.test_length, r.test.imem,
                      r.test.rf_init, r.test.dmem_init});
     }
     if (out_snap) *out_snap = export_context(tg.solver_context());

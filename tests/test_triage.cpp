@@ -356,9 +356,61 @@ TEST(Triage, RecoveredRowCarriesRefutedAttemptPhaseTime) {
   EXPECT_EQ(a.dptrace_ns, rescuer.dptrace_ns + 1000);
   EXPECT_EQ(a.ctrljust_ns, rescuer.ctrljust_ns + 20000);
   EXPECT_EQ(a.dprelax_ns, rescuer.dprelax_ns + 300000);
-  EXPECT_EQ(res.stats.dptrace_ns, a.dptrace_ns);
-  EXPECT_EQ(res.stats.ctrljust_ns, a.ctrljust_ns);
-  EXPECT_EQ(res.stats.dprelax_ns, a.dprelax_ns);
+  EXPECT_EQ(res.stats.effort.dptrace_ns, a.dptrace_ns);
+  EXPECT_EQ(res.stats.effort.ctrljust_ns, a.ctrljust_ns);
+  EXPECT_EQ(res.stats.effort.dprelax_ns, a.dprelax_ns);
+}
+
+TEST(Triage, UnconfirmedRetryChargesItsWholeEffort) {
+  // A second attempt that finds nothing still spent its search: the row the
+  // campaign keeps charges the retry's counters and phase time, not only
+  // its seconds - for a cross-config retry that does not confirm and for a
+  // fallback that detects nothing alike.
+  ErrorAttempt retry;  // searched, then gave up
+  retry.decisions = 9;
+  retry.ctrljust_ns = 5000;
+  retry.seconds = 0.25;
+  auto expect_charged = [](const CampaignResult& res) {
+    ASSERT_EQ(res.rows.size(), 1u);
+    const ErrorAttempt& a = res.rows[0].attempt;
+    EXPECT_EQ(a.decisions, 15u);
+    EXPECT_EQ(a.ctrljust_ns, 25000u);
+    EXPECT_DOUBLE_EQ(a.seconds, 0.75);
+    EXPECT_EQ(res.stats.effort.ctrljust_ns, 25000u);
+    EXPECT_DOUBLE_EQ(res.stats.cpu_seconds, 0.75);
+  };
+  const std::vector<DesignError> errors = {ssl("ex.alu_add", 0, false)};
+  CampaignFaultPlan faults;
+  faults[0].kind = CampaignFault::Kind::kForceAttempt;
+  faults[0].attempt = bogus_attempt();
+  faults[0].attempt.decisions = 6;
+  faults[0].attempt.ctrljust_ns = 20000;
+  faults[0].attempt.seconds = 0.5;
+
+  CampaignConfig cfg;
+  cfg.faults = &faults;
+  cfg.triage.verify = true;
+  cfg.triage.oracle = scalar_oracle(model());
+  cfg.triage.cross_gen = [&retry](const DesignError&, Budget&) {
+    return retry;
+  };
+  const CampaignResult triaged =
+      run_campaign(model().dp, errors, giveup_gen(), cfg);
+  expect_charged(triaged);
+  EXPECT_EQ(triaged.rows[0].attempt.outcome(), AttemptOutcome::kClaimMismatch);
+  EXPECT_NE(triaged.rows[0].attempt.note.find("retry did not confirm"),
+            std::string::npos);
+
+  // The same effort without a claim, rescued by nothing: a failed fallback.
+  faults[0].attempt.generated = faults[0].attempt.sim_confirmed = false;
+  faults[0].force_fallback = true;
+  faults[0].fallback_attempt = retry;
+  cfg.triage = TriageConfig{};
+  const CampaignResult fell_back =
+      run_campaign(model().dp, errors, giveup_gen(), cfg);
+  expect_charged(fell_back);
+  EXPECT_NE(fell_back.rows[0].attempt.note.find("fallback failed"),
+            std::string::npos);
 }
 
 TEST(Triage, OracleFailureKeepsClaimStanding) {

@@ -3,10 +3,12 @@
 
 Compares the *deterministic* effort counters of a fresh run against the
 committed baseline and fails when any regresses by more than the
-tolerance. Wall-clock fields are ignored on purpose: CI machines vary,
-counters do not - decisions, backtracks, DPTRACE expansions, nogood
-literal probes and batch-simulation pass counts are pure functions of the
-model and the configuration.
+tolerance. Wall-clock fields are never compared with the baseline: CI
+machines vary, counters do not - decisions, backtracks, DPTRACE
+expansions, nogood literal probes and batch-simulation pass counts are
+pure functions of the model and the configuration. The one wall-clock
+check is a ratio of two phase times measured in the same run, which holds
+on any machine.
 
 The report kind is auto-detected from the "bench" field:
 
@@ -14,7 +16,9 @@ The report kind is auto-detected from the "bench" field:
       per-config search-effort counters vs baseline, detection equality,
       and a complete warm start: every DPRELAX solve of the warm_start
       config replays from the imported memo (relax_hits == relax_lookups
-      > 0), whatever the baseline says.
+      > 0), and the replay pays - warm_start spends at most a tenth of
+      campaign_scope's DPRELAX time in the same run (dprelax_ns), whatever
+      the baseline says.
   campaign   (bench_campaign -> BENCH_campaign.json)
       lane-engine sweep: per-width dropping-pass counters vs baseline,
       width-invariant detections, and the floor on the controller-pass
@@ -34,6 +38,9 @@ TG_GUARDED_COUNTERS = ("decisions", "backtracks", "dptrace_expansions",
                        "nogood_comparisons")
 TG_CONFIGS = ("engine_off", "no_reuse", "engine_on", "campaign_scope",
               "warm_start", "campaign_shard")
+# A warm start replays every DPRELAX solve: its DPRELAX time must be at
+# most 1/N of the cold campaign_scope pass of the same run.
+WARM_DPRELAX_SPEEDUP = 10
 
 CAMPAIGN_WIDTHS = (64, 256, 512)
 CAMPAIGN_GUARDED_COUNTERS = ("batches", "controller_passes", "gate_evals")
@@ -79,9 +86,21 @@ def check_tg(cur, base, tolerance, failures):
         failures.append(f"warm_start: {hits} of {lookups} DPRELAX solves "
                         "replayed from the imported memo - a warm start "
                         "must replay every one")
+    # Both phase times come from one run: the ratio survives machine speed.
+    warm_ns = warm.get("dprelax_ns")
+    cold_ns = (cur.get("campaign_scope") or {}).get("dprelax_ns")
+    if warm_ns is None or cold_ns is None:
+        failures.append("warm_start / campaign_scope: dprelax_ns missing")
+    elif warm_ns * WARM_DPRELAX_SPEEDUP > cold_ns:
+        failures.append(
+            f"warm_start: DPRELAX took {warm_ns / 1e6:.1f} ms, more than "
+            f"1/{WARM_DPRELAX_SPEEDUP} of campaign_scope's "
+            f"{cold_ns / 1e6:.1f} ms - the replayed memo is not paying")
+    speedup = f"{cold_ns / warm_ns:.0f}x" if warm_ns and cold_ns else "n/a"
     return (f"{len(TG_CONFIGS)} configs x {len(TG_GUARDED_COUNTERS)} "
             f"counters within {tolerance:.0%} of baseline, warm start "
-            f"replayed {hits}/{lookups} relax solves")
+            f"replayed {hits}/{lookups} relax solves, DPRELAX {speedup} "
+            "faster warm")
 
 
 def check_campaign(cur, base, tolerance, failures):
