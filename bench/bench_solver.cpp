@@ -3,7 +3,7 @@
 // (BENCH_tg.json) so CI can archive the numbers run over run and guard the
 // hot-path counters against regressions (tools/check_bench.py).
 //
-//   engine_off     legacy pure-PODEM CTRLJUST, no DPTRACE reuse
+//   engine_off     CTRLJUST without the implication engine, no DPTRACE reuse
 //   no_reuse       engine on, but DPTRACE memo and nogood watches off -
 //                  the hot paths before the reuse overhaul (the DPRELAX
 //                  memo has no switch; at per-error scope it never hits)
@@ -29,8 +29,9 @@
 // (decisions + backtracks) reduction engine-on vs engine-off, the DPTRACE
 // expansion reduction and the nogood-probe reduction reuse-on vs reuse-off.
 // The benchmark also asserts that every configuration detects the *same*
-// errors - the solver and the reuse layers are pure search accelerators,
-// never a behaviour change - and exits nonzero on divergence.
+// errors with the *same* emitted tests - the solver and the reuse layers
+// are pure search accelerators, never a behaviour change - and exits
+// nonzero on divergence.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -42,6 +43,7 @@
 #include <vector>
 
 #include "core/tg.h"
+#include "isa/testcase_io.h"
 #include "sim/cosim.h"
 #include "solver/nogood_board.h"
 #include "solver/store.h"
@@ -51,8 +53,8 @@ using namespace hltg;
 namespace {
 
 struct RunStats {
-  std::vector<double> seconds;  ///< per-error wall time
-  std::vector<bool> detected;   ///< per-error outcome
+  std::vector<double> seconds;     ///< per-error wall time
+  std::vector<std::string> tests;  ///< per-error emitted test; "" = none
   std::size_t detected_count = 0;
   Effort effort;
   double total_seconds = 0;
@@ -74,7 +76,8 @@ struct RunStats {
 void fold(RunStats* out, const TgResult& r, double s) {
   out->seconds.push_back(s);
   out->total_seconds += s;
-  out->detected.push_back(r.status == TgStatus::kSuccess);
+  out->tests.push_back(
+      r.status == TgStatus::kSuccess ? serialize_test(r.test) : "");
   out->detected_count += r.status == TgStatus::kSuccess;
   out->effort += r.stats;
 }
@@ -172,7 +175,7 @@ int main(int argc, char** argv) {
   std::printf("bench_solver: %zu Table-1 SSL errors\n", errors.size());
 
   TgConfig off_cfg;
-  off_cfg.solver.enable = false;
+  off_cfg.ctrljust.use_engine = false;
   off_cfg.trace.reuse = false;
   const RunStats off = run(m, errors, off_cfg);
 
@@ -222,13 +225,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(e_on.nogood_comparisons),
               probe_reduction);
 
-  const bool outcomes_identical = off.detected == on.detected &&
-                                  off.detected == noreuse.detected &&
-                                  off.detected == campaign.detected &&
-                                  off.detected == warm.detected &&
-                                  off.detected == shard.detected;
+  const bool outcomes_identical =
+      off.tests == on.tests && off.tests == noreuse.tests &&
+      off.tests == campaign.tests && off.tests == warm.tests &&
+      off.tests == shard.tests;
   if (!outcomes_identical)
-    std::printf("ERROR: detection outcomes diverged between configurations\n");
+    std::printf("ERROR: detections or emitted tests diverged between "
+                "configurations\n");
 
   std::FILE* f = std::fopen(out_path.c_str(), "wb");
   if (!f) {

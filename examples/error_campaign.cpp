@@ -44,10 +44,10 @@
 // (default: CPUID auto up to 512, or HLTG_LANES); any width yields the
 // identical summary - only the pass counters change.
 //
-// --solver off is the escape hatch back to the legacy CTRLJUST search
-// (docs/SOLVER.md): no implication engine, nogood learning or justification
-// cache. Detection outcomes are identical either way; only the effort
-// counters differ.
+// --solver off runs the same CTRLJUST search loop with no implication
+// engine attached (docs/SOLVER.md): no nogood learning, justification cache
+// or DPRELAX memo. Detection outcomes and emitted tests are identical
+// either way; only the effort counters differ.
 //
 // --solver-scope campaign keeps the learned nogoods, justification cache
 // and DPRELAX memo alive across the whole error population instead of
@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
     topt.quarantine_dir = quarantine_dir;
     topt.repro_flags = "--model " + spec.model + " --stages " + spec.stages;
     topt.cross_config = plan.tgcfg;
-    topt.cross_config.solver.enable = !spec.solver;  // the other search
+    topt.cross_config.ctrljust.use_engine = !spec.solver;  // the other search
     ccfg.triage = make_triage(m, topt);
   }
 

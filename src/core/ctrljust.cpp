@@ -103,7 +103,8 @@ bool CtrlJust::backtrace(CtrlObjective o, Decision* out) const {
 
 CtrlJustResult CtrlJust::solve(const std::vector<CtrlObjective>& objectives,
                                Budget* budget) {
-  if (!cfg_.use_engine) return solve_legacy(objectives, budget);
+  // Engine off: the bare PODEM search, without canonicalization or cache.
+  if (!cfg_.use_engine) return search(objectives, budget);
 
   // Canonicalize once: the signature drives the cache, and a contradictory
   // set (both values of one point) fails without any search.
@@ -141,7 +142,7 @@ CtrlJustResult CtrlJust::solve(const std::vector<CtrlObjective>& objectives,
     }
   }
 
-  CtrlJustResult res = solve_engine(objectives, budget);
+  CtrlJustResult res = search(objectives, budget);
   if (cache_on) ++res.stats.cache_lookups;  // the miss that led here
   // Only definitive results are cacheable: a capped or deadline-aborted
   // failure proves nothing about the objective set.
@@ -155,117 +156,8 @@ CtrlJustResult CtrlJust::solve(const std::vector<CtrlObjective>& objectives,
   return res;
 }
 
-CtrlJustResult CtrlJust::solve_legacy(
-    const std::vector<CtrlObjective>& objectives, Budget* budget) {
-  CtrlJustResult res;
-  win_.clear();
-  std::vector<Decision> stack;
-
-  auto imply = [&] {
-    win_.imply();
-    ++res.stats.implications;
-  };
-
-  imply();
-  for (std::uint64_t iter = 0;; ++iter) {
-    if (res.stats.backtracks > cfg_.max_backtracks ||
-        res.stats.decisions > cfg_.max_decisions) {
-      res.status = TgStatus::kFailure;
-      res.abort = res.stats.backtracks > cfg_.max_backtracks
-                      ? AbortReason::kBacktracks
-                      : AbortReason::kDecisions;
-      break;
-    }
-    if (budget) {
-      const AbortReason why = budget->exhausted();
-      if (why != AbortReason::kNone) {
-        res.status = TgStatus::kFailure;
-        res.abort = why;
-        break;
-      }
-    }
-    // Classify objectives. Prefer backtracing an objective that wants a 1:
-    // on the decoder's one-hot OR planes a 1-objective pins a complete
-    // instruction term, after which the sibling 0-objectives usually follow
-    // by implication; starting from a 0-objective assigns near-arbitrary
-    // CPI bits and walks into conflicts.
-    bool violated = false;
-    const CtrlObjective* open = nullptr;
-    for (const CtrlObjective& o : objectives) {
-      const ObjState st = objective_state(o);
-      if (st == ObjState::kViolated) {
-        violated = true;
-        break;
-      }
-      if (st == ObjState::kOpen && (!open || (o.value && !open->value)))
-        open = &o;
-    }
-
-    Decision next{};
-    bool have_next = false;
-    if (!violated) {
-      if (!open) {
-        res.status = TgStatus::kSuccess;
-        break;
-      }
-      have_next = backtrace(*open, &next);
-      if (!have_next) violated = true;  // objective unreachable: conflict
-    }
-
-    if (violated) {
-      // Backtrack: flip the most recent unflipped decision.
-      ++res.stats.backtracks;
-      if (budget) budget->charge_backtracks(1);
-      bool resumed = false;
-      while (!stack.empty()) {
-        Decision& d = stack.back();
-        win_.assign(d.gate, d.cycle, L3::X);
-        if (!d.flipped) {
-          d.flipped = true;
-          d.value = !d.value;
-          win_.assign(d.gate, d.cycle, l3_from_bool(d.value));
-          if (cfg_.record_trace)
-            res.trace.push_back(
-                {SearchEvent::kFlip, d.gate, d.cycle, d.value});
-          resumed = true;
-          break;
-        }
-        if (cfg_.record_trace)
-          res.trace.push_back({SearchEvent::kPop, d.gate, d.cycle, d.value});
-        stack.pop_back();
-      }
-      if (!resumed) {
-        res.status = TgStatus::kFailure;
-        break;
-      }
-      imply();
-      continue;
-    }
-
-    // Take the decision.
-    ++res.stats.decisions;
-    if (budget) budget->charge_decisions(1);
-    win_.assign(next.gate, next.cycle, l3_from_bool(next.value));
-    if (cfg_.record_trace)
-      res.trace.push_back(
-          {SearchEvent::kDecide, next.gate, next.cycle, next.value});
-    stack.push_back(next);
-    imply();
-  }
-
-  if (res.status == TgStatus::kSuccess) {
-    for (auto [g, t, v] : win_.assignments()) {
-      if (gn_.gate(g).role == SigRole::kSts)
-        res.sts_assignments.emplace_back(g, t, v);
-      else if (gn_.gate(g).role == SigRole::kCPI)
-        res.cpi_assignments.emplace_back(g, t, v);
-    }
-  }
-  return res;
-}
-
 bool CtrlJust::apply_nogoods(CtrlJustResult& res) {
-  if (!ctx_ || !ctx_->cfg.use_nogoods) return true;
+  if (!ctx_) return true;
   ImplicationEngine& eng = *engine_;
   NogoodStore& store = ctx_->nogoods;
   if (watcher_)
@@ -320,7 +212,7 @@ bool CtrlJust::apply_nogoods(CtrlJustResult& res) {
 }
 
 void CtrlJust::learn_conflict(CtrlJustResult& res) {
-  if (!ctx_ || !ctx_->cfg.use_nogoods || !engine_->in_conflict()) return;
+  if (!ctx_ || !engine_->in_conflict()) return;
   if (ctx_->nogoods.learn(engine_->conflict_cut())) {
     ++res.stats.learned;
     if (watcher_) {
@@ -331,12 +223,13 @@ void CtrlJust::learn_conflict(CtrlJustResult& res) {
   }
 }
 
-// Engine-assisted search: the decision sequence is driven by the exact
-// legacy view (forward imply of the decisions in win_, legacy backtrace,
-// legacy objective classification), so a run that succeeds lands on the
-// same success leaf - same witness, same window, same downstream DPRELAX /
-// emitter behavior. The engine shadows every decision and contributes what
-// the forward view cannot:
+// The CTRLJUST search: one PODEM branch-and-bound loop (Fig. 3). The
+// decision sequence is driven by the forward view alone (forward imply of
+// the decisions in win_, backtrace, objective classification). With
+// use_engine the implication engine shadows every decision; a run that
+// succeeds still lands on the same success leaf - same witness, same
+// window, same downstream DPRELAX / emitter behavior - and the engine
+// contributes what the forward view cannot:
 //  - backward propagation detects that a subtree is doomed the moment the
 //    decision is asserted, instead of several decisions later (the whole
 //    doomed subtree collapses into one backtrack);
@@ -345,18 +238,22 @@ void CtrlJust::learn_conflict(CtrlJustResult& res) {
 //  - learned nogoods from earlier conflicts of this error's plans fire as
 //    soon as their literals hold.
 // Skipping doomed subtrees never changes the first success leaf of the
-// chronological flip-search; it only reaches it in fewer steps.
-CtrlJustResult CtrlJust::solve_engine(
-    const std::vector<CtrlObjective>& objectives, Budget* budget) {
+// chronological flip-search; it only reaches it in fewer steps. Without
+// the engine every engine step below is skipped.
+CtrlJustResult CtrlJust::search(const std::vector<CtrlObjective>& objectives,
+                                Budget* budget) {
   CtrlJustResult res;
-  if (!engine_) engine_ = std::make_unique<ImplicationEngine>(gn_, cycles_);
-  ImplicationEngine& eng = *engine_;
-  eng.reset();
-  if (ctx_ && ctx_->cfg.use_nogoods && ctx_->cfg.use_nogood_watches) {
-    if (!watcher_) watcher_ = std::make_unique<NogoodWatcher>(eng);
-    watcher_->rebuild(ctx_->nogoods);
-  } else {
-    watcher_.reset();
+  ImplicationEngine* eng = nullptr;
+  if (cfg_.use_engine) {
+    if (!engine_) engine_ = std::make_unique<ImplicationEngine>(gn_, cycles_);
+    eng = engine_.get();
+    eng->reset();
+    if (ctx_ && ctx_->cfg.use_nogood_watches) {
+      if (!watcher_) watcher_ = std::make_unique<NogoodWatcher>(*eng);
+      watcher_->rebuild(ctx_->nogoods);
+    } else {
+      watcher_.reset();
+    }
   }
   win_.clear();
   std::vector<Decision> stack;
@@ -365,11 +262,19 @@ CtrlJustResult CtrlJust::solve_engine(
     win_.imply();
     ++res.stats.implications;
   };
+  // Assert a literal in the engine; false on a conflict (its cut learned).
   auto shadow = [&](GateId g, unsigned t, bool v, bool decision) {
-    const bool ok = eng.assert_lit(g, t, v, decision) && eng.propagate() &&
+    if (!eng) return true;
+    const bool ok = eng->assert_lit(g, t, v, decision) && eng->propagate() &&
                     apply_nogoods(res);
     if (!ok) learn_conflict(res);
     return ok;
+  };
+  // Undo the engine's assignments above the first `level` decisions.
+  auto pop_to = [&](std::size_t level) {
+    if (!eng) return;
+    eng->pop_to(static_cast<unsigned>(level));
+    if (watcher_) watcher_->on_pop(eng->trail().size());
   };
 
   bool conflict = false;
@@ -398,6 +303,11 @@ CtrlJustResult CtrlJust::solve_engine(
       }
     }
 
+    // Classify objectives. Prefer backtracing an objective that wants a 1:
+    // on the decoder's one-hot OR planes a 1-objective pins a complete
+    // instruction term, after which the sibling 0-objectives usually follow
+    // by implication; starting from a 0-objective assigns near-arbitrary
+    // CPI bits and walks into conflicts.
     bool violated = conflict;
     const CtrlObjective* open = nullptr;
     if (!violated) {
@@ -413,23 +323,23 @@ CtrlJustResult CtrlJust::solve_engine(
     }
 
     Decision next{};
-    bool have_next = false;
     if (!violated) {
       if (!open) {
         res.status = TgStatus::kSuccess;
         break;
       }
-      have_next = backtrace(*open, &next);
-      if (!have_next) violated = true;  // objective unreachable: conflict
+      if (!backtrace(*open, &next)) violated = true;  // unreachable: conflict
     }
 
     if (violated) {
+      // Backtrack: flip the most recent unflipped decision.
       ++res.stats.backtracks;
       if (budget) budget->charge_backtracks(1);
       bool resumed = false;
       while (!stack.empty()) {
         Decision& d = stack.back();
         win_.assign(d.gate, d.cycle, L3::X);
+        pop_to(stack.size() - 1);
         if (!d.flipped) {
           d.flipped = true;
           d.value = !d.value;
@@ -437,17 +347,13 @@ CtrlJustResult CtrlJust::solve_engine(
           if (cfg_.record_trace)
             res.trace.push_back(
                 {SearchEvent::kFlip, d.gate, d.cycle, d.value});
-          eng.pop_to(static_cast<unsigned>(stack.size()) - 1);
-          if (watcher_) watcher_->on_pop(eng.trail().size());
-          eng.push_level();
+          if (eng) eng->push_level();
           conflict = !shadow(d.gate, d.cycle, d.value, true);
           resumed = true;
           break;
         }
         if (cfg_.record_trace)
           res.trace.push_back({SearchEvent::kPop, d.gate, d.cycle, d.value});
-        eng.pop_to(static_cast<unsigned>(stack.size()) - 1);
-        if (watcher_) watcher_->on_pop(eng.trail().size());
         stack.pop_back();
       }
       if (!resumed) {
@@ -463,7 +369,7 @@ CtrlJustResult CtrlJust::solve_engine(
     // value and mark the decision pre-flipped so backtracking pops it.
     // A forced assignment is a propagation, not a branch point, so it
     // counts as an implication rather than a decision.
-    const L3 hint = eng.value(next.gate, next.cycle);
+    const L3 hint = eng ? eng->value(next.gate, next.cycle) : L3::X;
     if (hint != L3::X) {
       next.value = hint == L3::T;
       next.flipped = true;
@@ -477,12 +383,12 @@ CtrlJustResult CtrlJust::solve_engine(
       res.trace.push_back(
           {SearchEvent::kDecide, next.gate, next.cycle, next.value});
     stack.push_back(next);
-    eng.push_level();
+    if (eng) eng->push_level();
     conflict = !shadow(next.gate, next.cycle, next.value, true);
     imply();
   }
 
-  res.stats.implications += eng.propagations();
+  if (eng) res.stats.implications += eng->propagations();
   if (res.status == TgStatus::kSuccess) {
     for (auto [g, t, v] : win_.assignments()) {
       if (gn_.gate(g).role == SigRole::kSts)

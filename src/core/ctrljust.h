@@ -7,14 +7,16 @@
 // input sequence starting from the controller's reset state that satisfies
 // all of them, or proves none exists within the window / budget.
 //
-// Two search back ends share the front end:
-//  - the legacy pure-PODEM loop (forward imply per iteration; the window
-//    re-evaluates only the forward cone of the assignments that changed),
-//  - the implication-engine loop (src/solver/): objectives are asserted,
-//    propagate() forces values in both directions, and decisions only touch
-//    genuinely free CPI/STS variables; conflicts are analyzed into learned
-//    nogoods and definitive results land in the justification cache when a
-//    SolverContext is attached (see docs/SOLVER.md).
+// One search loop, with or without the implication engine (src/solver/).
+// The decision sequence always comes from the forward view: imply the
+// decisions into the window (re-evaluating only the forward cone of the
+// assignments that changed), classify the objectives, backtrace an open
+// one. With the engine on (CtrlJustConfig::use_engine) objectives are also
+// asserted in the engine, propagate() forces values in both directions,
+// conflicts are analyzed into learned nogoods and definitive results land
+// in the justification cache when a SolverContext is attached. The engine
+// only prunes proven-doomed subtrees, so a search that no cap stops lands
+// on the same success leaf either way (see docs/SOLVER.md).
 //
 // Decisions on STS variables must later be justified by the datapath: they
 // are returned so TG can hand them to DPRELAX (Sec. V.C / Fig. 4).
@@ -66,7 +68,9 @@ struct CtrlJustConfig {
   std::uint64_t max_backtracks = 64;
   std::uint64_t max_decisions = 5000;
   bool record_trace = false;  ///< keep the decision sequence for debugging
-  bool use_engine = true;     ///< implication-engine back end (else legacy)
+  /// Shadow the search with the implication engine (nogoods, cache). Off:
+  /// the bare PODEM loop (error_campaign --solver off).
+  bool use_engine = true;
 };
 
 class CtrlJust {
@@ -87,8 +91,8 @@ class CtrlJust {
                        Budget* budget = nullptr);
 
   /// The window (exposed so TG can read the full implied CTRL trajectory
-  /// after a successful solve). Valid for both back ends: the engine path
-  /// replays its witness into the window on success.
+  /// after a successful solve). A justification-cache hit replays its
+  /// witness into the window.
   const ControllerWindow& window() const { return win_; }
 
  private:
@@ -107,10 +111,9 @@ class CtrlJust {
   /// Returns false if no route exists (treated as a conflict).
   bool backtrace(CtrlObjective o, Decision* out) const;
 
-  CtrlJustResult solve_legacy(const std::vector<CtrlObjective>& objectives,
-                              Budget* budget);
-  CtrlJustResult solve_engine(const std::vector<CtrlObjective>& objectives,
-                              Budget* budget);
+  /// The branch-and-bound loop (solve() adds canonicalization and cache).
+  CtrlJustResult search(const std::vector<CtrlObjective>& objectives,
+                        Budget* budget);
 
   /// Apply learned nogoods to a fixpoint (force negations, detect all-hold
   /// conflicts). False when a nogood fired into a conflict.
@@ -123,8 +126,8 @@ class CtrlJust {
   ControllerWindow win_;
   CtrlJustConfig cfg_;
   SolverContext* ctx_ = nullptr;
-  std::unique_ptr<ImplicationEngine> engine_;  ///< lazy; engine back end only
-  /// Watch-based nogood applier (lazy; engine back end with a context whose
+  std::unique_ptr<ImplicationEngine> engine_;  ///< lazy; use_engine only
+  /// Watch-based nogood applier (lazy; engine on, with a context whose
   /// config enables use_nogood_watches). Rebuilt at the top of every solve.
   std::unique_ptr<NogoodWatcher> watcher_;
 };

@@ -6,7 +6,7 @@
 #include "core/emit.h"
 #include "isa/asm.h"
 #include "sim/cosim.h"
-#include "util/log.h"
+#include "util/fnv.h"
 #include "util/word.h"
 
 namespace hltg {
@@ -173,10 +173,8 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
   // per-search state, while the implication engine's reset fixpoint and the
   // attached per-error context (nogoods + justification cache) carry over -
   // that reuse is the point of the shared solver layer.
-  CtrlJustConfig cjcfg = cfg_.ctrljust;
-  cjcfg.use_engine = cfg_.solver.enable;
-  CtrlJust cj(m_.ctrl, window, cjcfg);
-  if (cfg_.solver.enable) cj.set_context(&solver_ctx_);
+  CtrlJust cj(m_.ctrl, window, cfg_.ctrljust);
+  if (cfg_.ctrljust.use_engine) cj.set_context(&solver_ctx_);
 
   for (const PathPlan& plan : plans) {
     if (budget_fired()) return res;
@@ -243,7 +241,7 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
     // replaying a recorded definitive result is byte-identical to
     // recomputing it. Warm-started reruns are answered without a
     // relaxation sweep (solver/relax_cache.h).
-    const bool memoize = cfg_.solver.enable;
+    const bool memoize = cfg_.ctrljust.use_engine;
     RelaxCache::Key rkey;
     DpRelaxResult rr;
     bool replayed = false;
@@ -355,20 +353,13 @@ BudgetedGenFn TestGenerator::budgeted_strategy() {
 
 namespace {
 
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFFu;
-      h *= 1099511628211ull;
-    }
-  }
+/// The hashes below mix integers as eight bytes and strings length-first.
+struct Fnv : Fnv1a {
+  Fnv() : Fnv1a(kFnvTruncatedBasis) {}
+  void mix(std::uint64_t v) { u64(v); }
   void mix(const std::string& s) {
-    mix(s.size());
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
+    u64(s.size());
+    bytes(s);
   }
 };
 
@@ -436,13 +427,15 @@ std::uint64_t tg_config_hash(const TgConfig& cfg) {
   f.mix(cfg.retry_window);
   f.mix(cfg.ctrljust.max_backtracks);
   f.mix(cfg.ctrljust.max_decisions);
-  f.mix(cfg.ctrljust.use_engine ? 1u : 0u);
+  // This slot and bits 2 and 16 below mix constants: they held switches
+  // (a second engine switch, nogoods, the DPRELAX memo) that every stamped
+  // config had on. The engine switch is bit 1, where `--solver off` always
+  // showed, so stamped stores, journals and cache keys keep validating.
+  f.mix(1u);
   f.mix(cfg.relax.max_iterations);
   f.mix(cfg.relax.max_depth);
   f.mix(cfg.relax.seed);
-  // 16: the DPRELAX memo bit. The memo is always on; the bit stays so that
-  // stores and journals written before it lost its switch still validate.
-  f.mix((cfg.solver.enable ? 1u : 0u) | (cfg.solver.use_nogoods ? 2u : 0u) |
+  f.mix((cfg.ctrljust.use_engine ? 1u : 0u) | 2u |
         (cfg.solver.use_cache ? 4u : 0u) |
         (cfg.solver.use_nogood_watches ? 8u : 0u) | 16u);
   return f.h;

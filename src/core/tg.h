@@ -34,9 +34,10 @@ struct TgConfig {
   DpTraceConfig trace;
   CtrlJustConfig ctrljust;
   DpRelaxConfig relax;
-  /// Shared deduction subsystem (src/solver/): implication engine, learned
-  /// nogoods, justification cache. `solver.enable = false` restores the
-  /// legacy pure-PODEM CTRLJUST (the error_campaign --solver=off hatch).
+  /// Shared deduction subsystem (src/solver/): learned nogoods,
+  /// justification cache, DPRELAX memo. TG attaches it only while
+  /// `ctrljust.use_engine` is on; off (the error_campaign --solver off
+  /// hatch) runs the bare PODEM CTRLJUST with no solver state.
   SolverConfig solver;
   // Ablation toggles for the design choices DESIGN.md calls out.
   bool shape_dedup = true;     ///< skip plans whose shape failed confirmation
@@ -141,9 +142,9 @@ std::uint64_t relax_plan_seed(std::uint64_t base_seed, NetId site,
                               unsigned activate_cycle, unsigned window);
 
 /// Fingerprint of the TgConfig knobs that cached deduction results depend
-/// on (windows, search caps, relaxation seed, solver toggles). The nogood
-/// and justification-cache capacities are built in and excluded: they
-/// change what stays resident, never what a resident entry means.
+/// on (windows, search caps, relaxation seed, engine and solver toggles).
+/// The nogood store's capacity is built in and excluded: it changes what
+/// stays resident, never what a resident entry means.
 std::uint64_t tg_config_hash(const TgConfig& cfg);
 
 }  // namespace hltg

@@ -49,15 +49,21 @@ std::string CampaignStats::table1(const std::string& title) const {
     t.add_kv("Solver: nogood prunes/forcings", std::to_string(e.nogood_hits));
     t.add_kv("Solver: justification cache hits", std::to_string(e.cache_hits));
   }
-  // Phase attribution renders only for instrumented strategies, so the
-  // summary of older journals / custom generators is unchanged.
+  // Timing values get a block of their own: one that gains a digit re-pads
+  // only these lines, never the deterministic rows above. Phase attribution
+  // renders only for instrumented strategies, so the summary of older
+  // journals / custom generators is unchanged.
+  TextTable timing({"timing", "value"});
   if (has_phase_time(e)) {
-    t.add_kv("Phase time: DPTRACE [ms]", fmt_double(e.dptrace_ns / 1e6, 1));
-    t.add_kv("Phase time: CTRLJUST [ms]", fmt_double(e.ctrljust_ns / 1e6, 1));
-    t.add_kv("Phase time: DPRELAX [ms]", fmt_double(e.dprelax_ns / 1e6, 1));
+    timing.add_kv("Phase time: DPTRACE [ms]",
+                  fmt_double(e.dptrace_ns / 1e6, 1));
+    timing.add_kv("Phase time: CTRLJUST [ms]",
+                  fmt_double(e.ctrljust_ns / 1e6, 1));
+    timing.add_kv("Phase time: DPRELAX [ms]",
+                  fmt_double(e.dprelax_ns / 1e6, 1));
   }
-  t.add_kv("CPU time [minutes]", fmt_double(cpu_seconds / 60.0, 2));
-  return t.to_string();
+  timing.add_kv("CPU time [minutes]", fmt_double(cpu_seconds / 60.0, 2));
+  return t.to_string() + timing.to_string();
 }
 
 void CampaignStats::add_attempt(const ErrorAttempt& a,

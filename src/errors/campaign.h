@@ -161,7 +161,9 @@ struct CampaignStats {
   double cpu_seconds = 0.0;
   std::vector<unsigned> length_histogram;  ///< index = length
 
-  std::string table1(const std::string& title) const;  ///< Table-1 format
+  /// Table-1 format: the deterministic rows, then a separate timing block
+  /// (phase times, CPU time) whose padding cannot touch the rows above.
+  std::string table1(const std::string& title) const;
 
   /// Fold one attempt into the tallies (shared by the sharded and dropping
   /// engines so the two can never diverge). `length_sum` accumulates
@@ -232,7 +234,7 @@ using TriageBundleFn = std::function<std::string(
 /// triage"). With `verify` on, every detection claim - generator- or
 /// fallback-produced, and every batch-drop claim - is re-validated through
 /// `oracle`; a refuted claim is retried once through `cross_gen` (e.g. the
-/// legacy --solver off search) and, failing that, lands in the
+/// other --solver setting) and, failing that, lands in the
 /// claim_mismatch bucket and is bundled for quarantine.
 struct TriageConfig {
   bool verify = false;    ///< cross-check detection claims via `oracle`

@@ -7,6 +7,7 @@
 
 #include "isa/testcase_io.h"
 #include "util/failpoint.h"
+#include "util/fnv.h"
 #include "util/minijson.h"
 
 #ifndef _WIN32
@@ -29,21 +30,17 @@ std::string fmt_seconds(double s) {
 
 std::uint64_t campaign_fingerprint(const Netlist& nl,
                                    const std::vector<DesignError>& errors) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  Fnv1a f(kFnvOffsetBasis);
   auto mix = [&](const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 0x100000001b3ull;
-    }
-    h ^= 0xFF;
-    h *= 0x100000001b3ull;
+    f.bytes(s);
+    f.byte(0xFF);  // terminator
   };
   mix(std::to_string(errors.size()));
   for (const DesignError& e : errors) {
     mix(e.model_name());
     mix(e.describe(nl));
   }
-  return h;
+  return f.h;
 }
 
 std::string journal_header_line(std::size_t total, std::uint64_t fingerprint,

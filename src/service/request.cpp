@@ -9,6 +9,7 @@
 #include "errors/bus_ssl.h"
 #include "errors/journal.h"
 #include "errors/mse.h"
+#include "util/fnv.h"
 #include "util/minijson.h"
 
 namespace hltg {
@@ -24,16 +25,6 @@ std::vector<Stage> parse_stages(const std::string& s) {
   if (s.find("WB") != std::string::npos) out.push_back(Stage::kWB);
   return out;
 }
-
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFFu;
-      h *= 1099511628211ull;
-    }
-  }
-};
 
 std::string hex16(std::uint64_t v) {
   char buf[32];
@@ -188,7 +179,7 @@ RequestPlan plan_request(const DlxModel& m, const RequestSpec& spec) {
   plan.tgcfg.window = spec.window;
   plan.tgcfg.trace.window = spec.window;
   plan.tgcfg.retry_window = spec.retry_window;
-  plan.tgcfg.solver.enable = spec.solver;
+  plan.tgcfg.ctrljust.use_engine = spec.solver;
   plan.tgcfg.solver.scope = spec.solver_scope == "campaign"
                                 ? SolverScope::kCampaign
                                 : SolverScope::kError;
@@ -209,20 +200,20 @@ RequestPlan plan_request(const DlxModel& m, const RequestSpec& spec) {
   // level that changes result rows is mixed in here - including
   // SolverScope, which tg_config_hash deliberately omits (scope is
   // outcome-neutral but changes the effort counters the CSV reports).
-  Fnv f;
-  f.mix(plan.design_hash);
-  f.mix(plan.config_hash);
-  f.mix(campaign_fingerprint(m.dp, plan.errors));
-  f.mix(plan.tgcfg.solver.scope == SolverScope::kCampaign ? 1u : 0u);
-  f.mix(plan.drop ? 1u : 0u);
+  Fnv1a f(kFnvTruncatedBasis);
+  f.u64(plan.design_hash);
+  f.u64(plan.config_hash);
+  f.u64(campaign_fingerprint(m.dp, plan.errors));
+  f.u64(plan.tgcfg.solver.scope == SolverScope::kCampaign ? 1u : 0u);
+  f.u64(plan.drop ? 1u : 0u);
   std::uint64_t deadline_bits = 0;
   static_assert(sizeof deadline_bits == sizeof spec.deadline_ms);
   std::memcpy(&deadline_bits, &spec.deadline_ms, sizeof deadline_bits);
-  f.mix(deadline_bits);
-  f.mix(spec.max_backtracks);
-  f.mix(spec.max_decisions);
-  f.mix(spec.fallback ? 1u : 0u);
-  f.mix(spec.fallback ? spec.fallback_tries : 0u);
+  f.u64(deadline_bits);
+  f.u64(spec.max_backtracks);
+  f.u64(spec.max_decisions);
+  f.u64(spec.fallback ? 1u : 0u);
+  f.u64(spec.fallback ? spec.fallback_tries : 0u);
   plan.cache_key = hex16(f.h);
   return plan;
 }

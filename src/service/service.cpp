@@ -14,6 +14,7 @@
 #include "sim/batch_sim.h"
 #include "solver/nogood_board.h"
 #include "solver/store.h"
+#include "util/fnv.h"
 #include "util/minijson.h"
 
 namespace hltg {
@@ -420,11 +421,9 @@ void CampaignService::execute_supervised(const std::shared_ptr<Flight>& fl,
                                          RequestOutcome* o) {
   // Salt the backoff jitter with the request key so concurrently crashed
   // flights desynchronise their restarts.
-  std::uint64_t salt = 1469598103934665603ull;  // FNV offset basis
-  for (const char c : fl->plan.cache_key) {
-    salt ^= static_cast<unsigned char>(c);
-    salt *= 1099511628211ull;
-  }
+  Fnv1a key_hash(kFnvTruncatedBasis);
+  key_hash.bytes(fl->plan.cache_key);
+  const std::uint64_t salt = key_hash.h;
 
   for (unsigned attempt = 1;; ++attempt) {
     const WorkerExit we = run_worker(

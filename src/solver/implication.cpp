@@ -52,7 +52,7 @@ ImplicationEngine::ImplicationEngine(const GateNet& gn, unsigned cycles)
   assert(ok && "reset state is contradictory");
   (void)ok;
   // Everything below base_ is unconditional and survives reset().
-  base_ = {trail_.size(), ante_pool_.size(), frontier_.size()};
+  base_ = {trail_.size(), ante_pool_.size()};
   propagations_ = 0;
 }
 
@@ -65,7 +65,6 @@ void ImplicationEngine::reset() {
     info_[nd].reason = Reason::kUnset;
   }
   ante_pool_.resize(base_.pool);
-  frontier_.resize(base_.frontier);
   qhead_ = trail_.size();
   conflict_ = false;
   conflict_nodes_.clear();
@@ -74,7 +73,7 @@ void ImplicationEngine::reset() {
 }
 
 void ImplicationEngine::push_level() {
-  trail_lim_.push_back({trail_.size(), ante_pool_.size(), frontier_.size()});
+  trail_lim_.push_back({trail_.size(), ante_pool_.size()});
 }
 
 void ImplicationEngine::pop_to(unsigned level) {
@@ -94,7 +93,6 @@ void ImplicationEngine::pop_to(unsigned level) {
     info_[nd].reason = Reason::kUnset;
   }
   ante_pool_.resize(m.pool);
-  frontier_.resize(m.frontier);
   qhead_ = trail_.size();
   conflict_ = false;
   conflict_nodes_.clear();
@@ -124,16 +122,6 @@ bool ImplicationEngine::assign(NodeId nd, L3 v, Reason r, const NodeId* ante,
   ante_pool_.insert(ante_pool_.end(), ante, ante + ante_n);
   trail_.push_back(nd);
   if (r != Reason::kRoot && r != Reason::kReset) ++propagations_;
-  // J-frontier bookkeeping: a value not derived forward from fanins may
-  // still need justification by the search.
-  if (r == Reason::kRoot || r == Reason::kBackward || r == Reason::kNogood) {
-    const Gate& gate = gn_.gate(gate_of(nd));
-    const bool trivially_just =
-        gate.kind == GateKind::kVar || gate.kind == GateKind::kConst0 ||
-        gate.kind == GateKind::kConst1 ||
-        (gate.kind == GateKind::kDff && cycle_of(nd) == 0);
-    if (!trivially_just) frontier_.push_back(nd);
-  }
   return true;
 }
 
@@ -324,37 +312,6 @@ bool ImplicationEngine::propagate() {
   return true;
 }
 
-bool ImplicationEngine::justified(NodeId nd) const {
-  const GateId g = gate_of(nd);
-  const unsigned t = cycle_of(nd);
-  const Gate& gate = gn_.gate(g);
-  const L3 v = val_[nd];
-  switch (gate.kind) {
-    case GateKind::kVar:
-    case GateKind::kConst0:
-    case GateKind::kConst1:
-      return true;
-    case GateKind::kDff:
-      return t == 0 || val_[node(gate.fanin[0], t - 1)] == v;
-    case GateKind::kBuf:
-      return val_[node(gate.fanin[0], t)] == v;
-    case GateKind::kNot:
-      return l3_not(val_[node(gate.fanin[0], t)]) == v;
-    case GateKind::kXor:
-      return l3_xor(val_[node(gate.fanin[0], t)],
-                    val_[node(gate.fanin[1], t)]) == v;
-    case GateKind::kAnd:
-    case GateKind::kOr: {
-      L3 acc = identity_of(gate.kind);
-      for (GateId in : gate.fanin)
-        acc = gate.kind == GateKind::kAnd ? l3_and(acc, val_[node(in, t)])
-                                          : l3_or(acc, val_[node(in, t)]);
-      return acc == v;
-    }
-  }
-  return false;
-}
-
 std::vector<Lit> ImplicationEngine::conflict_cut() const {
   std::vector<Lit> cut;
   if (have_pending_) cut.push_back(pending_root_);
@@ -386,15 +343,6 @@ std::vector<Lit> ImplicationEngine::conflict_cut() const {
   std::sort(cut.begin(), cut.end());
   cut.erase(std::unique(cut.begin(), cut.end()), cut.end());
   return cut;
-}
-
-std::vector<Lit> ImplicationEngine::var_assignments() const {
-  std::vector<Lit> out;
-  for (NodeId nd : trail_)
-    if (gn_.gate(gate_of(nd)).kind == GateKind::kVar)
-      out.push_back({gate_of(nd), cycle_of(nd), val_[nd] == L3::T});
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace hltg

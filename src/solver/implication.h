@@ -22,6 +22,10 @@
 // graph. On contradiction, conflict_cut() walks the graph back to the root
 // assignments (decisions and asserted objectives) actually on a path to
 // the conflict - the learned nogood handed to the conflict store.
+//
+// The engine keeps no J-frontier: CTRLJUST picks its next objective from
+// the forward view of the window, so nothing asks which values still await
+// justification (docs/SOLVER.md).
 #pragma once
 
 #include <cstdint>
@@ -73,25 +77,12 @@ class ImplicationEngine {
   void push_level();
   /// Undo every assignment above `level` and clear any conflict.
   void pop_to(unsigned level);
-  unsigned level() const { return static_cast<unsigned>(trail_lim_.size()); }
 
   bool in_conflict() const { return conflict_; }
 
   /// Root literals (decisions + asserted objectives) the last conflict
   /// depends on - the implication-graph cut. Sorted, duplicate-free.
   std::vector<Lit> conflict_cut() const;
-
-  /// Is the node's value forward-implied by its fanins' current values?
-  /// (kVar, constants and cycle-0 DFFs are justified by definition.)
-  bool justified(NodeId nd) const;
-
-  /// Root- and backward-assigned nodes - the superset of the J-frontier.
-  /// Entries may be justified by now; callers re-check with justified().
-  const std::vector<NodeId>& frontier() const { return frontier_; }
-
-  /// Assigned (gate, cycle, value) triples over kVar gates, in (cycle,
-  /// gate) order - the witness of a completed search.
-  std::vector<Lit> var_assignments() const;
 
   /// Forced (non-root) assignments made since construction/reset.
   std::uint64_t propagations() const { return propagations_; }
@@ -145,12 +136,10 @@ class ImplicationEngine {
   std::size_t qhead_ = 0;
 
   struct LevelMark {
-    std::size_t trail, pool, frontier;
+    std::size_t trail, pool;
   };
   std::vector<LevelMark> trail_lim_;
   LevelMark base_{};  ///< marks at the end of the reset fixpoint
-
-  std::vector<NodeId> frontier_;
 
   /// Watched-fanin slots for AND/OR gates with >= kWatchMinFanin fanins.
   static constexpr unsigned kWatchMinFanin = 3;

@@ -18,35 +18,28 @@ CanonStatus canonicalize_objectives(const std::vector<CtrlObjective>& in,
   return CanonStatus::kOk;
 }
 
-const JustCacheEntry* JustCache::lookup(const std::vector<Lit>& key) {
-  const std::uint64_t h = hash_lits(key);
-  for (Slot& s : slots_)
-    if (s.hash == h && s.key == key) {
-      s.stamp = ++clock_;
-      ++hits_;
-      return &s.entry;
-    }
-  ++misses_;
-  return nullptr;
+std::size_t JustCache::position(const std::vector<Lit>& key,
+                                std::uint64_t h) const {
+  const auto [lo, hi] = index_.equal_range(h);
+  for (auto it = lo; it != hi; ++it)
+    if (entries_[it->second].key == key) return it->second;
+  return entries_.size();
+}
+
+const JustCacheEntry* JustCache::lookup(const std::vector<Lit>& key) const {
+  const std::size_t i = position(key, hash_lits(key));
+  return i < entries_.size() ? &entries_[i].entry : nullptr;
 }
 
 void JustCache::insert(const std::vector<Lit>& key, JustCacheEntry entry) {
-  if (capacity_ == 0) return;
   const std::uint64_t h = hash_lits(key);
-  for (Slot& s : slots_)
-    if (s.hash == h && s.key == key) {
-      s.entry = std::move(entry);
-      s.stamp = ++clock_;
-      return;
-    }
-  if (slots_.size() >= capacity_) {
-    auto victim = std::min_element(
-        slots_.begin(), slots_.end(),
-        [](const Slot& a, const Slot& b) { return a.stamp < b.stamp; });
-    *victim = {h, key, std::move(entry), ++clock_};
-  } else {
-    slots_.push_back({h, key, std::move(entry), ++clock_});
+  const std::size_t i = position(key, h);
+  if (i < entries_.size()) {
+    entries_[i].entry = std::move(entry);
+    return;
   }
+  index_.emplace(h, entries_.size());
+  entries_.push_back({key, std::move(entry)});
 }
 
 }  // namespace hltg

@@ -21,10 +21,17 @@
 // backtrack/decision cap or deadline proves nothing about the objective
 // set, and caching it would make detection outcomes depend on budget
 // history. Callers must pass abort == kNone results only.
+//
+// The cache has no capacity and never evicts: entries live in insertion
+// order behind a hash index, as in the DPRELAX memo (relax_cache.h), for as
+// long as the SolverContext does - one error at error scope, one worker's
+// share of the population at campaign scope. A full Table-1 campaign peaks
+// at a few hundred entries.
 #pragma once
 
 #include <cstdint>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "core/objectives.h"
@@ -51,47 +58,32 @@ struct JustCacheEntry {
 
 class JustCache {
  public:
-  explicit JustCache(std::size_t capacity = 512) : capacity_(capacity) {}
-
   /// nullptr on miss. The pointer is invalidated by the next insert().
-  const JustCacheEntry* lookup(const std::vector<Lit>& key);
+  const JustCacheEntry* lookup(const std::vector<Lit>& key) const;
+  /// Record a result; a key already present has its entry replaced in place.
   void insert(const std::vector<Lit>& key, JustCacheEntry entry);
 
-  std::size_t size() const { return slots_.size(); }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
+  std::size_t size() const { return entries_.size(); }
 
-  /// Resident entries in slot order, for persistence (src/solver/store.h).
+  /// Every entry in insertion order, for persistence (src/solver/store.h).
   struct Exported {
     std::vector<Lit> key;
     JustCacheEntry entry;
   };
-  std::vector<Exported> export_entries() const {
-    std::vector<Exported> out;
-    out.reserve(slots_.size());
-    for (const Slot& s : slots_) out.push_back({s.key, s.entry});
-    return out;
-  }
+  const std::vector<Exported>& export_entries() const { return entries_; }
 
   void clear() {
-    slots_.clear();
-    hits_ = misses_ = 0;
-    clock_ = 0;
+    entries_.clear();
+    index_.clear();
   }
 
  private:
-  struct Slot {
-    std::uint64_t hash = 0;
-    std::vector<Lit> key;
-    JustCacheEntry entry;
-    std::uint64_t stamp = 0;
-  };
+  /// Position of `key` in entries_, or size() when absent.
+  std::size_t position(const std::vector<Lit>& key, std::uint64_t h) const;
 
-  std::size_t capacity_;
-  std::vector<Slot> slots_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t clock_ = 0;
+  std::vector<Exported> entries_;
+  /// hash_lits -> position in entries_; equal hashes are told apart by key.
+  std::unordered_multimap<std::uint64_t, std::size_t> index_;
 };
 
 }  // namespace hltg

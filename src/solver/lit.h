@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gatenet/gatenet.h"
+#include "util/fnv.h"
 
 namespace hltg {
 
@@ -32,18 +33,12 @@ struct Lit {
 /// FNV-1a over a literal vector (order-sensitive; hash canonical = sorted
 /// vectors only).
 inline std::uint64_t hash_lits(const std::vector<Lit>& lits) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&](std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ull;
-    }
-  };
+  Fnv1a f(kFnvOffsetBasis);
   for (const Lit& l : lits) {
-    mix(l.gate);
-    mix((static_cast<std::uint64_t>(l.cycle) << 1) | (l.value ? 1 : 0));
+    f.u64(l.gate);
+    f.u64((static_cast<std::uint64_t>(l.cycle) << 1) | (l.value ? 1 : 0));
   }
-  return h;
+  return f.h;
 }
 
 }  // namespace hltg

@@ -1,5 +1,7 @@
 #include "solver/relax_cache.h"
 
+#include "util/fnv.h"
+
 namespace hltg {
 
 namespace {
@@ -77,14 +79,7 @@ RelaxCache::Key RelaxCache::make_key(
   return k;
 }
 
-std::uint64_t RelaxCache::hash_key(const Key& k) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the word stream
-  for (const std::uint64_t w : k.words) {
-    h ^= w;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+std::uint64_t RelaxCache::hash_key(const Key& k) { return fnv_words(k.words); }
 
 const RelaxCache::Exported* RelaxCache::lookup(const Key& key,
                                                std::uint64_t h) const {

@@ -75,6 +75,9 @@ class RelaxCache {
     index_.clear();
   }
 
+  /// Index hash of a key (util/fnv.h fnv_words over its word stream).
+  static std::uint64_t hash_key(const Key& k);
+
   std::size_t size() const { return entries_.size(); }
 
   /// Every entry in insertion order, for persistence (src/solver/store.h);
@@ -87,7 +90,6 @@ class RelaxCache {
   const std::vector<Exported>& export_entries() const { return entries_; }
 
  private:
-  static std::uint64_t hash_key(const Key& k);
   const Exported* lookup(const Key& key, std::uint64_t h) const;
 
   std::vector<Exported> entries_;

@@ -1,8 +1,10 @@
 // Shared deduction context: one SolverContext per generator (per campaign
 // worker), owning the learned-conflict store, the justification cache and
-// the DPRELAX memo that successive searches share. The two stores keep
-// their built-in capacities (nogoods.h, justcache.h); the memo has none
-// (relax_cache.h) and is always on while the engine is.
+// the DPRELAX memo that successive searches share. The nogood store keeps
+// its built-in capacity (nogoods.h); the justification cache and the memo
+// have none (justcache.h, relax_cache.h). TG attaches the context, and
+// uses the memo, only while CtrlJustConfig::use_engine is on - the one
+// engine switch.
 //
 // Scope and determinism: with scope == kError (the default) TG resets the
 // context at the start of every generate() call, so learned state is
@@ -45,10 +47,11 @@ enum class SolverScope {
               ///< exchange nogoods through a shared NogoodBoard)
 };
 
+/// Knobs of the attached context. The engine itself is switched by
+/// CtrlJustConfig::use_engine; with it on, conflict cuts are always learned
+/// and applied.
 struct SolverConfig {
-  bool enable = true;       ///< false: legacy PODEM search, no solver state
-  bool use_nogoods = true;  ///< learn + apply conflict cuts
-  bool use_cache = true;    ///< reuse justification results across plans
+  bool use_cache = true;  ///< reuse justification results across plans
   /// Apply nogoods through two watched assignments per nogood instead of
   /// rescanning the whole store every propagation round. Same fixpoints,
   /// same firings - strictly fewer literal probes (docs/SOLVER.md).

@@ -11,6 +11,7 @@
 
 #include "solver/solver.h"
 #include "util/failpoint.h"
+#include "util/fnv.h"
 
 namespace hltg {
 
@@ -230,15 +231,6 @@ std::string frame_record(std::uint32_t kind, const std::string& payload) {
   s.put_u32(ded_crc32(payload.data(), payload.size()));
   s.bytes.append(payload);
   return std::move(s.bytes);
-}
-
-std::uint64_t fnv_words(const std::vector<std::uint64_t>& words) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint64_t w : words) {
-    h ^= w;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 }  // namespace

@@ -31,7 +31,8 @@ struct TriageOptions {
   BudgetSpec minimize_budget{/*deadline_seconds=*/10.0,
                              /*max_decisions=*/2048};
   /// Generator config for the one cross-config retry on claim mismatch;
-  /// the caller passes the campaign's config with `solver.enable` flipped.
+  /// the caller passes the campaign's config with `ctrljust.use_engine`
+  /// flipped.
   /// `cross_retry = false` disables the retry entirely.
   bool cross_retry = true;
   TgConfig cross_config;

@@ -1,10 +1,11 @@
 // Compatibility with artifacts written before batched decision probing was
 // removed: configuration hashes (journal and deduction-store stamps, service
-// cache keys) keep their values, journal rows keep their byte format and
-// those that carry the old probe_* keys still replay, and the removed CLI
-// flags are rejected. The campaign CLI also reads its request flags the way
-// the daemon does (service/request.h), and refuses --csv / --save-tests
-// paths it cannot write instead of reporting them written.
+// cache keys) and the other FNV fingerprints keep their values, journal
+// rows keep their byte format and those that carry the old probe_* keys
+// still replay, and the removed CLI flags are rejected. The campaign CLI
+// also reads its request flags the way the daemon does (service/request.h),
+// and refuses --csv / --save-tests paths it cannot write instead of
+// reporting them written.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -15,7 +16,14 @@
 #include <string>
 
 #include "core/tg.h"
+#include "dlx/dlx.h"
+#include "errors/bus_ssl.h"
+#include "errors/inject.h"
 #include "errors/journal.h"
+#include "service/request.h"
+#include "solver/lit.h"
+#include "solver/relax_cache.h"
+#include "util/fnv.h"
 
 namespace hltg {
 namespace {
@@ -30,7 +38,7 @@ TEST(ConfigHashCompat, DefaultConfigHashIsPinned) {
 
 TEST(ConfigHashCompat, SolverOffHashIsPinned) {
   TgConfig cfg;
-  cfg.solver.enable = false;
+  cfg.ctrljust.use_engine = false;
   EXPECT_EQ(tg_config_hash(cfg), 0x99e9b9d9856f3b96ull);
 }
 
@@ -39,6 +47,41 @@ TEST(ConfigHashCompat, CampaignScopeHashIsPinned) {
   TgConfig cfg;
   cfg.solver.scope = SolverScope::kCampaign;
   EXPECT_EQ(tg_config_hash(cfg), 0xb8e480e2905e85b7ull);
+}
+
+// ---------------------------------------------------------- FNV hashes
+
+// Every fingerprint and index hash goes through util/fnv.h. These values
+// were computed by the hand-written copies it replaced; journals, .ded
+// stores and service cache file names carry them.
+TEST(FnvCompat, HelperIsFnv1a) {
+  Fnv1a f(kFnvOffsetBasis);
+  f.bytes("a");
+  EXPECT_EQ(f.h, 0xaf63dc4c8601ec8cull);  // the published FNV-1a vector
+  EXPECT_EQ(kFnvOffsetBasis, 14695981039346656037ull);
+  EXPECT_EQ(kFnvTruncatedBasis, kFnvOffsetBasis / 10);
+}
+
+TEST(FnvCompat, SolverIndexHashesArePinned) {
+  EXPECT_EQ(hash_lits({}), kFnvOffsetBasis);
+  EXPECT_EQ(hash_lits({{3, 0, true}, {17, 2, false}, {250, 9, true}}),
+            0x15a96d239e596d9bull);
+  RelaxCache::Key k;
+  k.words = {0, 1, 0xDEADBEEFull, ~0ull, 42};
+  EXPECT_EQ(RelaxCache::hash_key(k), 0xba86916dccbb1dacull);
+}
+
+TEST(FnvCompat, DesignHashAndFingerprintArePinned) {
+  const DlxModel m = build_dlx();
+  EXPECT_EQ(tg_design_hash(m), 0x70309c35835d6a23ull);
+  const std::vector<DesignError> errors = wrap(enumerate_bus_ssl(m.dp));
+  ASSERT_EQ(errors.size(), 228u);
+  EXPECT_EQ(campaign_fingerprint(m.dp, errors), 0xb92005bb80a13fe8ull);
+  EXPECT_EQ(plan_request(m, RequestSpec{}).cache_key, "5bc90980623d9a50");
+  RequestSpec off;
+  off.solver = false;
+  off.stages = "EX";
+  EXPECT_EQ(plan_request(m, off).cache_key, "e81954fb55ff91c1");
 }
 
 // ------------------------------------------------------------- journal

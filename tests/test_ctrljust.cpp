@@ -286,7 +286,7 @@ TEST(CtrlJust, DecisionVariablesArePipeframeOnly) {
 TEST(CtrlJust, TraceRecordsDecisions) {
   CtrlJustConfig cfg;
   cfg.record_trace = true;
-  cfg.use_engine = false;  // legacy counts every decide as a decision
+  cfg.use_engine = false;  // engine off: every decide is a decision
   CtrlJust cj(model().ctrl, 10, cfg);
   const CtrlJustResult r = cj.solve({{ctrl_bit("ctrl.mem_we"), 3, true}});
   ASSERT_EQ(r.status, TgStatus::kSuccess);

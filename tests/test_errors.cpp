@@ -150,5 +150,43 @@ TEST(Campaign, AggregatesStats) {
   EXPECT_NE(t.find("No. of errors detected"), std::string::npos);
 }
 
+TEST(Campaign, Table1RowsDoNotDependOnTiming) {
+  // Two campaigns that differ only in timing: DPRELAX 999.9 ms vs
+  // 1000.0 ms gains a digit. Every line but the timing block's is equal.
+  CampaignStats a;
+  a.total = 228;
+  a.attempted = 228;
+  a.detected = 194;
+  a.aborted = 34;
+  a.avg_test_length = 4.9;
+  a.backtracks = 3210;
+  a.effort.learned = 12;
+  a.effort.nogood_hits = 7;
+  a.effort.dptrace_ns = 15'000'000;
+  a.effort.ctrljust_ns = 410'000'000;
+  a.effort.dprelax_ns = 999'900'000;
+  a.cpu_seconds = 1.1;
+  CampaignStats b = a;
+  b.effort.dptrace_ns = 9'000'000;
+  b.effort.ctrljust_ns = 1'410'000'000;
+  b.effort.dprelax_ns = 1'000'000'000;
+  b.cpu_seconds = 612.0;
+
+  const std::string ta = a.table1("Table 1");
+  const std::string tb = b.table1("Table 1");
+  // The deterministic rows: everything before the timing block's border.
+  auto rows = [](const std::string& t) {
+    const std::size_t border_end = t.find("\n| timing");
+    EXPECT_NE(border_end, std::string::npos);
+    return t.substr(0, t.rfind('\n', border_end - 1) + 1);
+  };
+  EXPECT_EQ(rows(ta), rows(tb));
+  EXPECT_NE(rows(ta).find("No. of errors detected"), std::string::npos);
+  EXPECT_EQ(rows(ta).find("time"), std::string::npos);
+  EXPECT_NE(ta.find("| 999.9 "), std::string::npos);
+  EXPECT_NE(tb.find("| 1000.0 "), std::string::npos);
+  EXPECT_NE(ta.size(), tb.size());  // the timing block did re-pad
+}
+
 }  // namespace
 }  // namespace hltg

@@ -8,7 +8,6 @@
 #include "isa/encode.h"
 #include "sim/cosim.h"
 #include "sim/trace.h"
-#include "util/log.h"
 
 namespace hltg {
 namespace {
@@ -133,14 +132,6 @@ TEST(SignalNames, DescribeIsStable) {
   EXPECT_NE(d.find("CTRL bindings (18)"), std::string::npos);
   EXPECT_NE(d.find("STS bindings (10)"), std::string::npos);
   EXPECT_GT(d.size(), 500u);
-}
-
-TEST(LogMisc, LevelGate) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  log_info("suppressed");  // must not crash; not capturable here
-  set_log_level(old);
 }
 
 TEST(CosimMisc, GoldenImplementationMatchesSelf) {

@@ -1,7 +1,7 @@
 // Tests of the shared deduction subsystem (src/solver/, docs/SOLVER.md):
 // implication-engine propagation fixpoints and conflict cuts on hand-built
 // cones, the learned-conflict store, objective canonicalization, the
-// justification cache, and the engine-vs-legacy equivalence property over
+// justification cache, and the engine-on/off equivalence property over
 // the CTRLJUST objective corpus.
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "errors/bus_ssl.h"
 #include "errors/inject.h"
 #include "gatenet/gate_builder.h"
+#include "isa/testcase_io.h"
 #include "solver/implication.h"
 #include "solver/justcache.h"
 #include "solver/nogoods.h"
@@ -273,7 +274,9 @@ TEST(Canonicalize, DetectsContradiction) {
 // ------------------------------------------------------ justification cache
 
 TEST(JustCache, HitMissAndLru) {
-  JustCache cache(/*capacity=*/2);
+  // The cache keeps every entry in insertion order (no capacity, no LRU);
+  // inserting a present key replaces its entry in place.
+  JustCache cache;
   const std::vector<Lit> k1 = {{1, 0, true}};
   const std::vector<Lit> k2 = {{2, 0, true}};
   const std::vector<Lit> k3 = {{3, 0, true}};
@@ -286,17 +289,35 @@ TEST(JustCache, HitMissAndLru) {
   ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(hit->success);
   ASSERT_EQ(hit->cpi_assignments.size(), 1u);
-  cache.insert(k2, JustCacheEntry{});
-  (void)cache.lookup(k1);  // bump k1 so k2 is the LRU victim
   cache.insert(k3, JustCacheEntry{});
-  EXPECT_NE(cache.lookup(k1), nullptr);
-  EXPECT_EQ(cache.lookup(k2), nullptr);  // evicted
-  EXPECT_NE(cache.lookup(k3), nullptr);
-  EXPECT_EQ(cache.hits(), 4u);
-  EXPECT_EQ(cache.misses(), 2u);
+  cache.insert(k2, JustCacheEntry{});
+  EXPECT_EQ(cache.lookup({{4, 0, true}}), nullptr);
+
+  // Replace-on-insert: k1 now holds a failure, still in its first slot.
+  JustCacheEntry failure;
+  failure.sts_assignments.emplace_back(5, 1, false);
+  cache.insert(k1, failure);
+  EXPECT_EQ(cache.size(), 3u);
+  hit = cache.lookup(k1);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_FALSE(hit->success);
+  EXPECT_TRUE(hit->cpi_assignments.empty());
+  ASSERT_EQ(hit->sts_assignments.size(), 1u);
+
+  // Export walks insertion order, which persisted stores depend on.
+  const auto& out = cache.export_entries();
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].key, k1);
+  EXPECT_FALSE(out[0].entry.success);
+  EXPECT_EQ(out[1].key, k3);
+  EXPECT_EQ(out[2].key, k2);
+
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.lookup(k1), nullptr);
 }
 
-// --------------------------------------- engine-vs-legacy equivalence
+// ------------------------------------------ engine-on/off equivalence
 
 std::vector<std::vector<CtrlObjective>> objective_corpus() {
   std::vector<std::vector<CtrlObjective>> corpus;
@@ -337,20 +358,22 @@ TEST(SolverEquivalence, EngineMatchesLegacyOnCorpus) {
   std::size_t idx = 0;
   for (const auto& objs : objective_corpus()) {
     SCOPED_TRACE("objective set #" + std::to_string(idx++));
-    CtrlJustConfig legacy_cfg;
-    legacy_cfg.use_engine = false;
-    CtrlJust legacy(model().ctrl, kCycles, legacy_cfg);
-    const CtrlJustResult lr = legacy.solve(objs);
+    CtrlJustConfig off_cfg;
+    off_cfg.use_engine = false;
+    CtrlJust off(model().ctrl, kCycles, off_cfg);
+    const CtrlJustResult r_off = off.solve(objs);
 
     CtrlJust engine(model().ctrl, kCycles);
     engine.set_context(&ctx);
     const CtrlJustResult er = engine.solve(objs);
 
-    EXPECT_EQ(lr.status, er.status);
-    if (er.status == TgStatus::kSuccess)
+    // The engine only prunes doomed subtrees: same leaf, same witness.
+    EXPECT_EQ(r_off.status, er.status);
+    EXPECT_EQ(r_off.cpi_assignments, er.cpi_assignments);
+    EXPECT_EQ(r_off.sts_assignments, er.sts_assignments);
+    if (er.status == TgStatus::kSuccess) {
       EXPECT_TRUE(witness_satisfies(er, objs, kCycles));
-    if (lr.status == TgStatus::kSuccess)
-      EXPECT_TRUE(witness_satisfies(lr, objs, kCycles));
+    }
   }
 }
 
@@ -389,27 +412,34 @@ TEST(SolverEquivalence, CacheIsWindowIndependent) {
 // ----------------------------------- TG-level detection-outcome equivalence
 
 TEST(SolverEquivalence, DetectionOutcomesMatchAcrossConfigs) {
-  // Engine on (default), engine off (legacy), and engine-on/cache-off must
-  // detect exactly the same errors - the solver is a search accelerator,
-  // never a behaviour change. A subset of the Table-1 SSL population keeps
-  // the test fast; bench_solver checks the full set.
+  // Engine on (default), engine off, and engine-on/cache-off must detect
+  // exactly the same errors with exactly the same tests - the solver is a
+  // search accelerator, never a behaviour change. A subset of the Table-1
+  // SSL population keeps the test fast; bench_solver checks the full set.
   std::vector<DesignError> errors = wrap(enumerate_bus_ssl(model().dp));
   if (errors.size() > 40) errors.resize(40);
 
-  auto detected = [&](bool engine, bool cache) {
+  // Per error: the emitted test when detected, "" otherwise.
+  auto emitted = [&](bool engine, bool cache) {
     TgConfig cfg;
-    cfg.solver.enable = engine;
+    cfg.ctrljust.use_engine = engine;
     cfg.solver.use_cache = cache;
     TestGenerator tg(model(), cfg);
-    std::vector<bool> out;
-    for (const DesignError& e : errors)
-      out.push_back(tg.generate(e).status == TgStatus::kSuccess);
+    std::vector<std::string> out;
+    for (const DesignError& e : errors) {
+      const TgResult r = tg.generate(e);
+      out.push_back(r.status == TgStatus::kSuccess ? serialize_test(r.test)
+                                                   : "");
+    }
     return out;
   };
 
-  const std::vector<bool> on = detected(true, true);
-  const std::vector<bool> off = detected(false, true);
-  const std::vector<bool> nocache = detected(true, false);
+  const std::vector<std::string> on = emitted(true, true);
+  const std::vector<std::string> off = emitted(false, true);
+  const std::vector<std::string> nocache = emitted(true, false);
+  EXPECT_GT(std::count_if(on.begin(), on.end(),
+                          [](const std::string& t) { return !t.empty(); }),
+            0);
   EXPECT_EQ(on, off);
   EXPECT_EQ(on, nocache);
 }
