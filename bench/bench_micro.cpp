@@ -2,11 +2,13 @@
 //
 // Throughput numbers for the substrates the CPU-time comparison rests on:
 // the cycle-accurate two-level simulator, 3-valued controller implication
-// over the unrolled window, relaxation window capture, and one full TG run.
+// over the unrolled window, whole-window capture against one event-driven
+// relaxation-window update, and one full TG run.
 #include <benchmark/benchmark.h>
 
 #include "baseline/random_tg.h"
 #include "core/archstate.h"
+#include "core/relax_window.h"
 #include "core/tg.h"
 #include "core/unroll.h"
 #include "sim/cosim.h"
@@ -70,6 +72,29 @@ void BM_WindowCapture(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WindowCapture);
+
+void BM_RelaxWindowUpdate(benchmark::State& state) {
+  // One initial-register edit and its undo per iteration, as a DPRELAX
+  // backsolve makes them: each update re-evaluates only the register's
+  // reads and their forward cone in the 14-cycle window.
+  const TestCase tc = sample_test();
+  RelaxVars vars;
+  vars.imem = tc.imem;
+  vars.rf_init = tc.rf_init;
+  vars.mem_init = tc.dmem_init;
+  RelaxWindow win(model(), 14);
+  win.update(vars);
+  const std::uint32_t r1 = vars.rf_init[1];
+  for (auto _ : state) {
+    vars.rf_init[1] = r1 + 1;
+    win.update(vars);
+    vars.rf_init[1] = r1;
+    win.update(vars);
+    benchmark::DoNotOptimize(win.net(13, model().sig.wb_value));
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_RelaxWindowUpdate);
 
 void BM_CosimDetect(benchmark::State& state) {
   const TestCase tc = sample_test();

@@ -63,7 +63,8 @@
 // --store FILE persists the campaign-scope deduction state across process
 // lifetimes (docs/ROBUSTNESS.md "Persisted deduction store"): loaded -
 // after a design-hash/config-hash validation - before the campaign for a
-// warm start, saved atomically after it. Requires --solver-scope campaign.
+// warm start, saved atomically after it. Requires --solver-scope campaign
+// and --solver on: with the engine off there is nothing to persist.
 // --failpoints SPEC (or HLTG_FAILPOINTS in the environment) arms the I/O
 // fault-injection harness for crash-recovery testing; see
 // src/util/failpoint.h for the grammar.
@@ -196,6 +197,11 @@ int main(int argc, char** argv) {
   if (!store_path.empty() && spec.solver_scope != "campaign") {
     std::fprintf(stderr, "--store requires --solver-scope campaign (a "
                  "per-error-scope context has nothing to persist)\n");
+    return 1;
+  }
+  if (!store_path.empty() && !spec.solver) {
+    std::fprintf(stderr, "--store requires --solver on (with --solver off "
+                 "the campaign deduces nothing to persist)\n");
     return 1;
   }
   if (!replay_path.empty() &&

@@ -1,7 +1,5 @@
 #include "core/archstate.h"
 
-#include "sim/batch_sim.h"
-
 namespace hltg {
 
 WindowCapture capture_window(const DlxModel& m, const TestCase& tc,
@@ -22,45 +20,6 @@ WindowCapture capture_window(const DlxModel& m, const TestCase& tc,
     sim.end_cycle();
   }
   return cap;
-}
-
-void capture_window_pair(const DlxModel& m, const TestCase& tc,
-                         unsigned cycles, const ErrorInjection& inj,
-                         WindowCapture* good, WindowCapture* err) {
-  const ErrorInjection clean;
-  const std::vector<const ErrorInjection*> lanes{&clean, &inj};
-  std::vector<LaneCapture> caps = batch_capture(m, tc, cycles, lanes);
-  good->nets = std::move(caps[0].nets);
-  good->gates = std::move(caps[0].gates);
-  err->nets = std::move(caps[1].nets);
-  err->gates = std::move(caps[1].gates);
-}
-
-int last_rf_write(const DlxModel& m, const WindowCapture& cap, unsigned reg,
-                  unsigned t) {
-  const Module& rfw = m.dp.module(m.rf_write_mod);
-  for (int t2 = static_cast<int>(t); t2 >= 0; --t2) {
-    const bool we = cap.net(t2, rfw.ctrl_in[0]) & 1;
-    const unsigned waddr = static_cast<unsigned>(cap.net(t2, rfw.data_in[0]) & 31);
-    if (we && waddr == reg && reg != 0) return t2;
-  }
-  return -1;
-}
-
-int last_mem_write(const DlxModel& m, const WindowCapture& cap,
-                   std::uint32_t aligned_addr, unsigned t, bool* full_word) {
-  const Module& mw = m.dp.module(m.mem_write_mod);
-  for (int t2 = static_cast<int>(t) - 1; t2 >= 0; --t2) {
-    const bool we = cap.net(t2, mw.ctrl_in[0]) & 1;
-    const std::uint32_t a =
-        static_cast<std::uint32_t>(cap.net(t2, mw.data_in[0])) & ~3u;
-    if (we && a == aligned_addr) {
-      if (full_word)
-        *full_word = (cap.net(t2, mw.data_in[2]) & 0xF) == 0xF;
-      return t2;
-    }
-  }
-  return -1;
 }
 
 }  // namespace hltg

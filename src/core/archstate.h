@@ -1,10 +1,10 @@
-// Window capture and architectural-state bookkeeping for DPRELAX.
+// Whole-window capture: every net and gate value of the implementation at
+// every cycle, from one ProcSim run.
 //
-// DPRELAX evaluates consistency by simulating the implementation over the
-// window and capturing every net/gate value per cycle; its backsolve walks
-// run backwards through those captured values. The helpers here answer the
-// register-file / memory questions that walk needs: which write feeds a
-// read observed at cycle t?
+// This is the independent reference for DPRELAX's event-driven window
+// (core/relax_window.h), which must equal a fresh capture bit for bit after
+// every update (tests/test_relax_window.cpp), and the value source of
+// sim/diff_debug's good-versus-erroneous report.
 #pragma once
 
 #include <cstdint>
@@ -31,25 +31,5 @@ struct WindowCapture {
 WindowCapture capture_window(const DlxModel& m, const TestCase& tc,
                              unsigned cycles,
                              const ErrorInjection& inj = {});
-
-/// Capture the good machine and the `inj`-erroneous machine on the same test
-/// in one batch simulation (sim/batch_sim): the controller evaluates both
-/// lanes per gate visit instead of running two full window simulations.
-/// Value-identical to two capture_window calls.
-void capture_window_pair(const DlxModel& m, const TestCase& tc,
-                         unsigned cycles, const ErrorInjection& inj,
-                         WindowCapture* good, WindowCapture* err);
-
-/// Latest cycle t' <= t whose register-file write targets `reg` (write-
-/// through makes a same-cycle write visible). -1 if none: the read sees the
-/// initial register file.
-int last_rf_write(const DlxModel& m, const WindowCapture& cap, unsigned reg,
-                  unsigned t);
-
-/// Latest cycle t' < t whose memory write hits the aligned address. Returns
-/// the cycle, and sets `full_word` to whether all four byte lanes were
-/// written (partial writes cannot be backsolved through). -1 if none.
-int last_mem_write(const DlxModel& m, const WindowCapture& cap,
-                   std::uint32_t aligned_addr, unsigned t, bool* full_word);
 
 }  // namespace hltg

@@ -1,29 +1,16 @@
 #include "core/dprelax.h"
 
+#include <optional>
+
 #include "util/word.h"
 
 namespace hltg {
 
-TestCase RelaxVars::to_test() const {
-  TestCase tc;
-  tc.imem = imem;
-  tc.rf_init = rf_init;
-  tc.dmem_init = mem_init;
-  return tc;
-}
-
-void RelaxVars::ensure_size(std::size_t words) {
-  if (imem.size() < words) {
-    imem.resize(words, 0);
-    imem_fixed.resize(words, 0);
-  }
-}
-
 DpRelax::DpRelax(const DlxModel& m, unsigned window, DpRelaxConfig cfg)
     : m_(m), T_(window), cfg_(cfg), rng_(cfg.seed) {}
 
-bool DpRelax::violated(const RelaxConstraint& c, const WindowCapture& good,
-                       const WindowCapture* err) const {
+bool DpRelax::violated(const RelaxConstraint& c, const RelaxWindow& good,
+                       const RelaxWindow* err) const {
   if (c.cycle >= good.cycles()) return true;
   const unsigned w = m_.dp.net(c.net).width;
   const std::uint64_t mask = c.mask & mask_bits(w);
@@ -41,10 +28,10 @@ bool DpRelax::violated(const RelaxConstraint& c, const WindowCapture& good,
   return true;
 }
 
-bool DpRelax::set_instr_word(RelaxVars& vars, const WindowCapture& cap,
+bool DpRelax::set_instr_word(RelaxVars& vars, const RelaxWindow& win,
                              unsigned cycle, std::uint64_t need) {
   const std::uint32_t pc =
-      static_cast<std::uint32_t>(cap.net(cycle, m_.sig.pc_q));
+      static_cast<std::uint32_t>(win.net(cycle, m_.sig.pc_q));
   if (pc % 4 != 0) return false;
   const std::size_t idx = pc / 4;
   if (idx >= 4 * T_) return false;  // runaway PC: give up
@@ -57,24 +44,24 @@ bool DpRelax::set_instr_word(RelaxVars& vars, const WindowCapture& cap,
   return true;
 }
 
-bool DpRelax::backsolve(RelaxVars& vars, const WindowCapture& cap, NetId net,
+bool DpRelax::backsolve(RelaxVars& vars, const RelaxWindow& win, NetId net,
                         unsigned cycle, std::uint64_t need, unsigned depth) {
   if (depth > cfg_.max_depth) return false;
   const Net& n = m_.dp.net(net);
   const unsigned w = n.width;
   need = trunc(need, w);
-  if (cap.net(cycle, net) == need) return true;  // already holds
+  if (win.net(cycle, net) == need) return true;  // already holds
 
-  if (net == m_.sig.instr) return set_instr_word(vars, cap, cycle, need);
+  if (net == m_.sig.instr) return set_instr_word(vars, win, cycle, need);
   if (n.role == NetRole::kCtrl) return false;  // controller-owned
 
   const ModId di = n.driver;
   if (di == kNoMod) return false;
   const Module& mod = m_.dp.module(di);
-  auto in_val = [&](unsigned i) { return cap.net(cycle, mod.data_in[i]); };
-  auto ctrl_val = [&](unsigned i) { return cap.net(cycle, mod.ctrl_in[i]); };
+  auto in_val = [&](unsigned i) { return win.net(cycle, mod.data_in[i]); };
+  auto ctrl_val = [&](unsigned i) { return win.net(cycle, mod.ctrl_in[i]); };
   auto go = [&](NetId to, unsigned t, std::uint64_t v) {
-    return backsolve(vars, cap, to, t, v, depth + 1);
+    return backsolve(vars, win, to, t, v, depth + 1);
   };
   // Choose which of two inputs to adjust; bias keeps some exploration.
   auto pick2 = [&] { return rng_.chance(3, 4) ? 0u : 1u; };
@@ -89,9 +76,9 @@ bool DpRelax::backsolve(RelaxVars& vars, const WindowCapture& cap, NetId net,
       const bool has_en = mod.tag & 1, has_clr = mod.tag & 2;
       unsigned slot = 0;
       const bool en =
-          has_en ? (cap.net(cycle - 1, mod.ctrl_in[slot++]) & 1) : true;
+          has_en ? (win.net(cycle - 1, mod.ctrl_in[slot++]) & 1) : true;
       const bool clr =
-          has_clr ? (cap.net(cycle - 1, mod.ctrl_in[slot]) & 1) : false;
+          has_clr ? (win.net(cycle - 1, mod.ctrl_in[slot]) & 1) : false;
       if (clr) return need == 0;
       if (!en) return go(mod.out, cycle - 1, need);
       return go(mod.data_in[0], cycle - 1, need);
@@ -109,7 +96,7 @@ bool DpRelax::backsolve(RelaxVars& vars, const WindowCapture& cap, NetId net,
         const unsigned r = 1 + (next_reg_++ % 31);
         return go(mod.data_in[0], cycle, r);
       }
-      const int tw = last_rf_write(m_, cap, reg, cycle);
+      const int tw = win.last_rf_write(reg, cycle);
       if (tw < 0) {
         vars.rf_init[reg] = static_cast<std::uint32_t>(need);
         return true;
@@ -125,7 +112,7 @@ bool DpRelax::backsolve(RelaxVars& vars, const WindowCapture& cap, NetId net,
       const std::uint32_t addr =
           static_cast<std::uint32_t>(in_val(0)) & ~3u;
       bool full = false;
-      const int tw = last_mem_write(m_, cap, addr, cycle, &full);
+      const int tw = win.last_mem_write(addr, cycle, &full);
       if (tw < 0) {
         vars.mem_init[addr] = static_cast<std::uint32_t>(need);
         return true;
@@ -325,7 +312,7 @@ bool DpRelax::backsolve(RelaxVars& vars, const WindowCapture& cap, NetId net,
   }
 }
 
-bool DpRelax::perturb_site(RelaxVars& vars, const WindowCapture& cap,
+bool DpRelax::perturb_site(RelaxVars& vars, const RelaxWindow& win,
                            NetId site, unsigned cycle) {
   const ModId di = m_.dp.net(site).driver;
   if (di == kNoMod) return false;
@@ -335,10 +322,10 @@ bool DpRelax::perturb_site(RelaxVars& vars, const WindowCapture& cap,
   const unsigned wi = m_.dp.net(mod.data_in[i]).width;
   // Random nonzero nudge: for most module pairs (add/sub, shifts, compare
   // directions) differing operands force differing outputs.
-  const std::uint64_t v = trunc(cap.net(cycle, mod.data_in[i]) +
+  const std::uint64_t v = trunc(win.net(cycle, mod.data_in[i]) +
                                     1 + rng_.word(wi >= 4 ? wi - 1 : wi),
                                 wi);
-  return backsolve(vars, cap, mod.data_in[i], cycle, v, 0);
+  return backsolve(vars, win, mod.data_in[i], cycle, v, 0);
 }
 
 DpRelaxResult DpRelax::solve(RelaxVars& vars,
@@ -351,36 +338,39 @@ DpRelaxResult DpRelax::solve(RelaxVars& vars,
     return false;
   }();
 
+  // One window per machine for the whole solve: each iteration's update
+  // re-evaluates only what the previous iteration's edit changed.
+  RelaxWindow good(m_, T_);
+  std::optional<RelaxWindow> err;
+  if (needs_err) err.emplace(m_, T_, inj);
+  auto done = [&](TgStatus status) {
+    res.status = status;
+    res.evals = good.evals() + (err ? err->evals() : 0);
+    return res;
+  };
+
   for (unsigned iter = 0; iter < cfg_.max_iterations; ++iter) {
     if (budget) {
       const AbortReason why = budget->exhausted();
       if (why != AbortReason::kNone) {
-        res.status = TgStatus::kFailure;
         res.abort = why;
         res.note = std::string("budget: ") + std::string(to_string(why));
-        return res;
+        return done(TgStatus::kFailure);
       }
     }
     res.iterations = iter + 1;
-    WindowCapture good, err;
-    if (needs_err) {
-      // Both machines ride one batch simulation: the controller is swept
-      // once per cycle for the pair instead of once per machine.
-      capture_window_pair(m_, vars.to_test(), T_, inj, &good, &err);
+    good.update(vars);
+    if (err) {
+      err->update(vars);
       ++res.pair_captures;
-    } else {
-      good = capture_window(m_, vars.to_test(), T_);
     }
 
     // Find all violated constraints; fix one (rotating start so one stubborn
     // constraint cannot starve the others).
     std::vector<const RelaxConstraint*> bad;
     for (const auto& c : constraints)
-      if (violated(c, good, needs_err ? &err : nullptr)) bad.push_back(&c);
-    if (bad.empty()) {
-      res.status = TgStatus::kSuccess;
-      return res;
-    }
+      if (violated(c, good, err ? &*err : nullptr)) bad.push_back(&c);
+    if (bad.empty()) return done(TgStatus::kSuccess);
     const RelaxConstraint& c = *bad[iter % bad.size()];
     bool adjusted = false;
     const unsigned w = m_.dp.net(c.net).width;
@@ -417,13 +407,11 @@ DpRelaxResult DpRelax::solve(RelaxVars& vars,
     if (!adjusted) {
       res.note = "backsolve failed: " + m_.dp.net(c.net).name + "@" +
                  std::to_string(c.cycle) + " (" + c.why + ")";
-      res.status = TgStatus::kConflict;
-      return res;
+      return done(TgStatus::kConflict);
     }
   }
-  res.status = TgStatus::kFailure;
   res.note = "iteration budget exhausted";
-  return res;
+  return done(TgStatus::kFailure);
 }
 
 }  // namespace hltg

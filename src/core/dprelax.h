@@ -4,11 +4,15 @@
 // The free value variables are the paper's DPI set: instruction-word fields
 // (register specifiers, immediates - the opcode/function bits are already
 // fixed by CTRLJUST's CPI decisions), the initial register file, and the
-// initial data memory. Each iteration:
-//   1. evaluates the whole window (the implementation simulator is the
-//      module-evaluation engine, so semantics can never diverge),
+// initial data memory. A solve keeps one event-driven RelaxWindow per
+// machine (core/relax_window.h): the good machine, plus the erroneous one
+// when a kSiteDiffers constraint needs it. Each iteration:
+//   1. updates the windows with the current variables - the first sweeps
+//      them, later ones re-evaluate only what the previous edit changed;
+//      the values always equal a full simulation of the implementation,
+//      so semantics can never diverge,
 //   2. finds a violated constraint, and
-//   3. backsolves it through the captured values - module-by-module inverse
+//   3. backsolves it through the window's values - module-by-module inverse
 //      rules (add: a = y - b; mux: follow the selected input; register-file
 //      read: adjust the feeding write or the initial state; ...) - until a
 //      free variable is adjusted.
@@ -19,29 +23,15 @@
 // underdetermined and convergence is fast.
 #pragma once
 
-#include <array>
-#include <map>
 #include <vector>
 
-#include "core/archstate.h"
 #include "core/objectives.h"
+#include "core/relax_window.h"
 #include "util/budget.h"
 #include "util/rng.h"
 #include "util/status.h"
 
 namespace hltg {
-
-/// The free value variables (and the fixed-bit discipline on instruction
-/// words imposed by CTRLJUST's CPI assignments).
-struct RelaxVars {
-  std::vector<std::uint32_t> imem;        ///< program words
-  std::vector<std::uint32_t> imem_fixed;  ///< per-word fixed-bit mask
-  std::array<std::uint32_t, 32> rf_init{};
-  std::map<std::uint32_t, std::uint32_t> mem_init;
-
-  TestCase to_test() const;
-  void ensure_size(std::size_t words);
-};
 
 struct DpRelaxConfig {
   unsigned max_iterations = 80;
@@ -53,7 +43,12 @@ struct DpRelaxResult {
   TgStatus status = TgStatus::kFailure;
   AbortReason abort = AbortReason::kNone;  ///< set when the budget fired
   unsigned iterations = 0;
-  unsigned pair_captures = 0;  ///< good+err windows captured as one batch
+  /// Iterations that also updated the erroneous machine's window.
+  unsigned pair_captures = 0;
+  /// Schedule steps the windows evaluated. The deduction store does not
+  /// carry it, and TG charges it only for solves it ran, never for a memo
+  /// replay.
+  std::uint64_t evals = 0;
   std::string note;
 };
 
@@ -63,20 +58,20 @@ class DpRelax {
 
   /// Iterate until every constraint holds in the good machine (and, for
   /// kSiteDiffers constraints, the erroneous machine diverges at the site).
-  /// `budget`, when given, is polled once per relaxation sweep.
+  /// `budget`, when given, is polled once per iteration.
   DpRelaxResult solve(RelaxVars& vars,
                       const std::vector<RelaxConstraint>& constraints,
                       const ErrorInjection& inj, Budget* budget = nullptr);
 
  private:
-  bool violated(const RelaxConstraint& c, const WindowCapture& good,
-                const WindowCapture* err) const;
+  bool violated(const RelaxConstraint& c, const RelaxWindow& good,
+                const RelaxWindow* err) const;
   /// Returns true if some free variable was adjusted.
-  bool backsolve(RelaxVars& vars, const WindowCapture& cap, NetId net,
+  bool backsolve(RelaxVars& vars, const RelaxWindow& win, NetId net,
                  unsigned cycle, std::uint64_t need, unsigned depth);
-  bool perturb_site(RelaxVars& vars, const WindowCapture& cap, NetId site,
+  bool perturb_site(RelaxVars& vars, const RelaxWindow& win, NetId site,
                     unsigned cycle);
-  bool set_instr_word(RelaxVars& vars, const WindowCapture& cap,
+  bool set_instr_word(RelaxVars& vars, const RelaxWindow& win,
                       unsigned cycle, std::uint64_t need);
 
   const DlxModel& m_;

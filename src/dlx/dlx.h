@@ -154,6 +154,39 @@ struct EvalStep {
   std::uint32_t index;  ///< GateId / ctrl_binds index / ModId
 };
 
+/// Who reads each value of the merged schedule, for event-driven
+/// re-evaluation (core/relax_window.h). Values are numbered datapath nets
+/// first, then controller gates (num_nets() + g); ranks are positions in
+/// DlxModel::schedule().
+struct ScheduleFanout {
+  /// Rank of the step that writes each value during a cycle's pass; -1 when
+  /// the value is set outside the pass (fetch, clock edge) or never. A step
+  /// reading a value whose producer rank is not below its own sees the
+  /// previous cycle's value (0 at cycle 0).
+  std::vector<std::int32_t> producer;
+  /// Steps that read each value during the pass, CSR-packed:
+  /// readers[reader_at[v] .. reader_at[v + 1]), ascending.
+  std::vector<std::uint32_t> reader_at, readers;
+  /// Clock-edge ops that read each value, packed the same way. Op i below
+  /// regs.size() latches register regs[i]; the next dffs.size() ops latch
+  /// the DFFs; the last two are the register-file and memory write ports.
+  std::vector<std::uint32_t> edge_at, edge_readers;
+  std::vector<ModId> regs;
+  std::vector<GateId> dffs;
+  /// Ranks of the steps that write a value, ascending.
+  std::vector<std::uint32_t> producing;
+  /// Ranks of the register-file and memory read steps.
+  std::vector<std::uint32_t> rf_reads, mem_reads;
+  /// The STS net each controller var samples (kNoNet: a CPI var).
+  std::vector<NetId> sts_of_gate;
+
+  std::uint32_t rf_write_op() const {
+    return static_cast<std::uint32_t>(regs.size() + dffs.size());
+  }
+  std::uint32_t mem_write_op() const { return rf_write_op() + 1; }
+  std::uint32_t num_edge_ops() const { return mem_write_op() + 1; }
+};
+
 struct DlxModel {
   Netlist dp;
   GateNet ctrl;
@@ -175,11 +208,16 @@ struct DlxModel {
   /// once. build_dlx does not build it: models that never simulate never
   /// pay for it.
   const std::vector<EvalStep>& schedule() const;
+  /// The readers of every value of schedule() (defined in sim/schedule.cpp),
+  /// built on the first call like the schedule and shared the same way.
+  const ScheduleFanout& fanout() const;
 
  private:
   struct LazySchedule {
     std::once_flag built;
     std::vector<EvalStep> steps;
+    std::once_flag fanout_built;
+    ScheduleFanout fanout;
   };
   /// Heap-held so the model stays movable (a once_flag is not).
   std::unique_ptr<LazySchedule> schedule_ = std::make_unique<LazySchedule>();

@@ -1,6 +1,7 @@
 #include "service/supervisor.h"
 
 #include <poll.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -11,7 +12,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 
 #include "solver/store.h"
 #include "util/failpoint.h"
@@ -142,6 +142,11 @@ WorkerExit run_worker(const WorkerJob& job, const SupervisorConfig& cfg,
 
   // === supervisor side ===
   ::close(pfd[1]);
+  // Readable once the worker has exited, so the reap after the pipe's EOF
+  // waits for the exit itself rather than a fixed tick. glibc has no
+  // wrapper; on failure (-1) poll ignores the fd and the wait below is
+  // the plain 20 ms tick.
+  const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
   using Clock = std::chrono::steady_clock;
   const Clock::time_point started = Clock::now();
   Clock::time_point term_at{};
@@ -169,7 +174,8 @@ WorkerExit run_worker(const WorkerJob& job, const SupervisorConfig& cfg,
         }
       }
     } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      pollfd p{pidfd, POLLIN, 0};
+      ::poll(&p, 1, 20);
     }
     if (!reaped && ::waitpid(pid, &status, WNOHANG) == pid) reaped = true;
     if (reaped) {
@@ -198,6 +204,7 @@ WorkerExit run_worker(const WorkerJob& job, const SupervisorConfig& cfg,
     }
   }
   ::close(pfd[0]);
+  if (pidfd >= 0) ::close(pidfd);
 
   out.ran = true;
   if (WIFEXITED(status))

@@ -68,7 +68,7 @@ class BatchSim {
     for (unsigned c = 0; c < cycles && any_live(); ++c) {
       fetch();
       eval_pass();
-      clock_edge(&spec);
+      clock_edge(spec);
     }
     // Lanes that survived the run undetected: their store sequence matched
     // the spec prefix; they mismatch iff they stored too few words or ended
@@ -87,33 +87,6 @@ class BatchSim {
         }
     }
     return mask;
-  }
-
-  /// Run `cycles` cycles recording every lane's settled net/gate values per
-  /// cycle (ProcSim::begin_cycle points). No spec comparison: lanes never
-  /// freeze.
-  std::vector<LaneCapture> run_capture(unsigned cycles) {
-    std::vector<LaneCapture> out(lanes_.size());
-    for (LaneCapture& lc : out) {
-      lc.nets.reserve(cycles);
-      lc.gates.reserve(cycles);
-    }
-    const std::size_t ngates = m_.ctrl.num_gates();
-    for (unsigned c = 0; c < cycles; ++c) {
-      fetch();
-      eval_pass();
-      for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
-        std::vector<std::uint64_t> nv(nets_);
-        for (NetId n = 0; n < nets_; ++n) nv[n] = dpv(lane, n);
-        std::vector<std::uint8_t> gvals(ngates);
-        for (GateId g = 0; g < ngates; ++g)
-          gvals[g] = gate_bit(g, lane) ? 1 : 0;
-        out[lane].nets.push_back(std::move(nv));
-        out[lane].gates.push_back(std::move(gvals));
-      }
-      clock_edge(nullptr);
-    }
-    return out;
   }
 
   std::uint64_t controller_passes() const { return controller_passes_; }
@@ -281,9 +254,9 @@ class BatchSim {
     }
   }
 
-  /// Clock edge; with `spec` the incremental store-trace comparison detects
-  /// and freezes diverging lanes, without it (capture mode) lanes run on.
-  void clock_edge(const ArchTrace* spec) {
+  /// Clock edge; the incremental store-trace comparison against `spec`
+  /// detects and freezes diverging lanes.
+  void clock_edge(const ArchTrace& spec) {
     const Module& rfw = m_.dp.module(m_.rf_write_mod);
     const Module& mw = m_.dp.module(m_.mem_write_mod);
     for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
@@ -325,18 +298,16 @@ class BatchSim {
           if (!(mask & (1u << b)))
             data = static_cast<std::uint32_t>(set_field(data, 8 * b, 8, 0));
         dmem_[lane].write_word(addr, data, mask);
-        if (spec) {
-          // Incremental trace comparison: a store that differs from the
-          // specification's store at the same position - or overflows the
-          // specification's store count - is a permanent mismatch, so the
-          // lane is detected and frozen.
-          const MemWrite w{addr & ~3u, data, mask};
-          const std::size_t k = matched_writes_[lane]++;
-          if (k >= spec->writes.size() || !(spec->writes[k] == w)) {
-            detected_[lane >> 6] |= bit;
-            live_[lane >> 6] &= ~bit;
-            continue;  // skip the register latch: the lane is frozen
-          }
+        // Incremental trace comparison: a store that differs from the
+        // specification's store at the same position - or overflows the
+        // specification's store count - is a permanent mismatch, so the
+        // lane is detected and frozen.
+        const MemWrite w{addr & ~3u, data, mask};
+        const std::size_t k = matched_writes_[lane]++;
+        if (k >= spec.writes.size() || !(spec.writes[k] == w)) {
+          detected_[lane >> 6] |= bit;
+          live_[lane >> 6] &= ~bit;
+          continue;  // skip the register latch: the lane is frozen
         }
       }
 
@@ -399,16 +370,6 @@ std::uint64_t batch_detect64(const DlxModel& m, const TestCase& tc,
                              const ArchTrace& spec, unsigned cycles,
                              const std::vector<const ErrorInjection*>& lanes) {
   return batch_detectw(m, tc, spec, cycles, lanes)[0];
-}
-
-std::vector<LaneCapture> batch_capture(
-    const DlxModel& m, const TestCase& tc, unsigned cycles,
-    const std::vector<const ErrorInjection*>& lanes, BatchSimStats* stats) {
-  BatchSim sim(m, tc, lanes);
-  std::vector<LaneCapture> out = sim.run_capture(cycles);
-  fold_stats(stats, sim, lanes.size(),
-             lane_words(static_cast<unsigned>(lanes.size())) * 64);
-  return out;
 }
 
 const std::vector<EvalStep>& batch_schedule(

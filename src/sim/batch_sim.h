@@ -65,19 +65,6 @@ std::uint64_t batch_detect64(const DlxModel& m, const TestCase& tc,
                              const ArchTrace& spec, unsigned cycles,
                              const std::vector<const ErrorInjection*>& lanes);
 
-/// Per-lane full window capture: every net and gate value at the settled
-/// point of every cycle, for up to kMaxLanes injections in one simulation.
-/// Lane semantics match ProcSim::begin_cycle exactly; DPRELAX pairs its
-/// good/erroneous machine captures through this (core/archstate.h).
-struct LaneCapture {
-  std::vector<std::vector<std::uint64_t>> nets;   ///< [t][net]
-  std::vector<std::vector<std::uint8_t>> gates;   ///< [t][gate]
-};
-std::vector<LaneCapture> batch_capture(
-    const DlxModel& m, const TestCase& tc, unsigned cycles,
-    const std::vector<const ErrorInjection*>& lanes,
-    BatchSimStats* stats = nullptr);
-
 /// The evaluation schedule a batch simulation steps through: the model's
 /// shared DlxModel::schedule(), never a per-simulation copy.
 const std::vector<EvalStep>& batch_schedule(

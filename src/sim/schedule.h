@@ -21,4 +21,9 @@ namespace hltg {
 /// DlxModel::schedule(), which calls this once per model.
 std::vector<EvalStep> build_eval_schedule(const DlxModel& m);
 
+/// Build the reader tables of `m`'s schedule (ScheduleFanout in dlx/dlx.h)
+/// from the values each step reads and writes in ProcSim's pass. Users
+/// take the model's shared copy, DlxModel::fanout().
+ScheduleFanout build_schedule_fanout(const DlxModel& m);
+
 }  // namespace hltg

@@ -42,9 +42,11 @@ struct Effort {
   std::uint64_t dptrace_reused = 0;      ///< searches answered by the memo
   std::uint64_t relax_hits = 0;     ///< DPRELAX solves replayed from the memo
   std::uint64_t relax_lookups = 0;  ///< DPRELAX memo probes
-  /// DPRELAX good+err window captures run as one 2-lane batch simulation
-  /// (sim/batch_sim) instead of two full window simulations.
+  /// DPRELAX iterations that also updated the erroneous machine.
   std::uint64_t relax_pair_captures = 0;
+  /// Schedule steps DPRELAX's windows evaluated (core/relax_window.h), in
+  /// solves actually run: a memo replay charges none.
+  std::uint64_t relax_evals = 0;
 
   Effort& operator+=(const Effort& o);
 };
@@ -86,6 +88,7 @@ inline constexpr EffortField kEffortFields[] = {
     {"relax_lookups", &Effort::relax_lookups, EffortJournal::kNever},
     {"relax_pair_captures", &Effort::relax_pair_captures,
      EffortJournal::kNever},
+    {"relax_evals", &Effort::relax_evals, EffortJournal::kNever},
 };
 static_assert(std::size(kEffortFields) ==
                   sizeof(Effort) / sizeof(std::uint64_t),

@@ -124,10 +124,12 @@ TEST(CampaignDropping, EveryKeptTestStillConfirmed) {
       batch_from_scalar([&](const TestCase& tc, const DesignError& e) {
         return detects(model(), tc, e.injection());
       }));
-  for (const CampaignRow& row : res.rows)
-    if (row.attempt.generated)
+  for (const CampaignRow& row : res.rows) {
+    if (row.attempt.generated) {
       EXPECT_TRUE(detects(model(), row.attempt.test,
                           row.error.injection()));
+    }
+  }
 }
 
 }  // namespace

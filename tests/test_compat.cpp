@@ -242,6 +242,23 @@ TEST(CliCompat, DropWithJobsIsRejected) {
   EXPECT_EQ(run_cli("--stages WB --drop --jobs 2", &out), 1) << out;
 }
 
+TEST(CliCompat, StoreWithSolverOffIsRejected) {
+  // An engine-off campaign deduces nothing: its store would be empty, and
+  // a later engine-on run refuses an empty store. Rejected before the
+  // writability probe creates the file.
+  const std::string store = testing::TempDir() + "hltg_cli_off.ded";
+  std::remove(store.c_str());
+  std::string out;
+  EXPECT_EQ(run_cli("--stages WB --solver off --solver-scope campaign "
+                    "--store " + store,
+                    &out),
+            1)
+      << out;
+  EXPECT_NE(out.find("--store"), std::string::npos) << out;
+  EXPECT_NE(out.find("--solver on"), std::string::npos) << out;
+  EXPECT_FALSE(std::filesystem::exists(store));
+}
+
 TEST(CliCompat, SaveTestsCreatesItsDirectory) {
   // --save-tests into a missing directory once printed "saved N tests"
   // and exited 0 having written nothing.

@@ -4,6 +4,7 @@
 
 #include <ostream>
 
+#include "core/archstate.h"
 #include "core/dprelax.h"
 #include "isa/encode.h"
 #include "util/word.h"
@@ -161,7 +162,9 @@ TEST(DpRelax, IterationBudgetRespected) {
                                        eq("ex.a_byp", 4, 3),
                                        eq("ex.alu_add", 5, 4)};
   auto r = relax.solve(vars, cons, {});
-  if (r.status != TgStatus::kSuccess) EXPECT_LE(r.iterations, 3u);
+  if (r.status != TgStatus::kSuccess) {
+    EXPECT_LE(r.iterations, 3u);
+  }
 }
 
 // Parameterized sweep: one representative net per module category, each

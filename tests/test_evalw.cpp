@@ -4,15 +4,13 @@
 // 01X kernel with an independent util/logic3 evaluator - on random
 // netlists and the real DLX controller - plus the cached DFF list,
 // batch-vs-scalar parity and width-invariance of the batched error
-// detector across all four error models, and the paired DPRELAX window
-// capture.
+// detector across all four error models.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "core/archstate.h"
 #include "core/tg.h"
 #include "errors/boe.h"
 #include "errors/bse.h"
@@ -303,8 +301,12 @@ TEST(EvalwDispatch, ScalarAlwaysAvailableAndBackendForIsAvailable) {
     const LaneBackend b = backend_for(words);
     EXPECT_TRUE(backend_available(b)) << to_string(b);
     // A backend is only picked when its vector covers a full block.
-    if (b == LaneBackend::kAvx2) EXPECT_GE(words, 4u);
-    if (b == LaneBackend::kAvx512) EXPECT_GE(words, 8u);
+    if (b == LaneBackend::kAvx2) {
+      EXPECT_GE(words, 4u);
+    }
+    if (b == LaneBackend::kAvx512) {
+      EXPECT_GE(words, 8u);
+    }
   }
   EXPECT_EQ(backend_for(1), LaneBackend::kScalar);
 }
@@ -509,40 +511,6 @@ TEST(BatchDetectWide, OutcomesIdenticalAcrossLaneWidths) {
   detect_errors(model(), tc, ptrs, c256);
   EXPECT_GT(s64.batches, s256.batches);
   EXPECT_GT(s64.controller_passes, s256.controller_passes);
-}
-
-// ------------------------------------------------- paired window capture
-
-TEST(CaptureWindowPair, ExactlyEqualsTwoScalarCaptures) {
-  const NetId net = model().dp.find_net("ex.alu_add");
-  ASSERT_NE(net, kNoNet);
-  const DesignError err{BusSslError{net, 0, false}};
-
-  const AsmResult r = assemble(
-      "addi r1, r0, 3\n"
-      "add r3, r1, r1\n"
-      "sw 0x40(r0), r3\n"
-      "add r4, r3, r1\n"
-      "sw 0x44(r0), r4\n");
-  ASSERT_TRUE(r.ok());
-  TestCase tc;
-  tc.imem = encode_program(r.program);
-  const unsigned cycles = 14;
-
-  const WindowCapture ref_good = capture_window(model(), tc, cycles);
-  const WindowCapture ref_err =
-      capture_window(model(), tc, cycles, err.injection());
-
-  WindowCapture good, err_cap;
-  capture_window_pair(model(), tc, cycles, err.injection(), &good, &err_cap);
-  ASSERT_EQ(good.cycles(), ref_good.cycles());
-  ASSERT_EQ(err_cap.cycles(), ref_err.cycles());
-  EXPECT_EQ(good.nets, ref_good.nets);
-  EXPECT_EQ(good.gates, ref_good.gates);
-  EXPECT_EQ(err_cap.nets, ref_err.nets);
-  EXPECT_EQ(err_cap.gates, ref_err.gates);
-  // The pair must genuinely differ somewhere, or the check is vacuous.
-  EXPECT_NE(err_cap.nets, good.nets);
 }
 
 }  // namespace

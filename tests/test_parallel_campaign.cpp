@@ -222,7 +222,9 @@ TEST(ParallelCampaign, ShardedCampaignScopeMatchesErrorScopeForAnyJobs) {
     NogoodBoard board;
     const CampaignResult r = run(SolverScope::kCampaign, jobs, &board);
     EXPECT_EQ(outcomes(r), reference) << "jobs=" << jobs;
-    if (jobs > 1) EXPECT_GT(board.epoch(), 0u) << "board never used";
+    if (jobs > 1) {
+      EXPECT_GT(board.epoch(), 0u) << "board never used";
+    }
   }
 }
 

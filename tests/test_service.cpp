@@ -949,6 +949,27 @@ TEST(Supervisor, DeadlineEscalatesSigtermToSigkill) {
   EXPECT_EQ(we.term_signal, SIGKILL);
 }
 
+TEST(Supervisor, DeadlineAppliesAfterThePipeCloses) {
+  // The supervisor stops reading at the pipe's EOF and only waits for the
+  // exit; a worker that closes its end and then hangs must still be held
+  // to the deadline and the SIGTERM -> SIGKILL escalation.
+  SupervisorConfig cfg;
+  cfg.deadline_seconds = 0.2;
+  cfg.term_grace_seconds = 0.15;
+  const WorkerExit we = run_worker(
+      [](int fd) {
+        ::close(fd);
+        std::signal(SIGTERM, SIG_IGN);
+        for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return 0;
+      },
+      cfg, {});
+  ASSERT_TRUE(we.ran);
+  EXPECT_TRUE(we.timed_out);
+  EXPECT_FALSE(we.result_ok);
+  EXPECT_EQ(we.term_signal, SIGKILL);
+}
+
 TEST(Supervisor, BackoffIsZeroThenJitteredExponentialCapped) {
   SupervisorConfig cfg;
   cfg.backoff_base_ms = 100;

@@ -65,7 +65,9 @@ TEST(Timeframe, PipeframeDecidesFewerJustificationVariables) {
   // justification of decided CSI bits.
   TimeframeJust tf(model().ctrl, 10);
   const TimeframeResult rt = tf.solve(objs);
-  if (rt.status == TgStatus::kSuccess) EXPECT_GT(rt.state_bits_decided, 0u);
+  if (rt.status == TgStatus::kSuccess) {
+    EXPECT_GT(rt.state_bits_decided, 0u);
+  }
 
   // The analytic decision-variable counts agree with the paper's claim.
   const GateNetStats st = analyze(model().ctrl);

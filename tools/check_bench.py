@@ -5,8 +5,9 @@ Compares the *deterministic* effort counters of a fresh run against the
 committed baseline and fails when any regresses by more than the
 tolerance. Wall-clock fields are never compared with the baseline: CI
 machines vary, counters do not - decisions, backtracks, DPTRACE
-expansions, nogood literal probes and batch-simulation pass counts are
-pure functions of the model and the configuration. The one wall-clock
+expansions, nogood literal probes, DPRELAX window evaluations and
+batch-simulation pass counts are pure functions of the model and the
+configuration. The one wall-clock
 check is a ratio of two phase times measured in the same run, which holds
 on any machine.
 
@@ -34,8 +35,10 @@ import json
 import sys
 
 # Lower is better; a rise beyond tolerance is a hot-path regression.
+# relax_evals counts the schedule steps DPRELAX's event-driven windows
+# evaluate: a fall-back to whole-window sweeps multiplies it on any host.
 TG_GUARDED_COUNTERS = ("decisions", "backtracks", "dptrace_expansions",
-                       "nogood_comparisons")
+                       "nogood_comparisons", "relax_evals")
 TG_CONFIGS = ("engine_off", "no_reuse", "engine_on", "campaign_scope",
               "warm_start", "campaign_shard")
 # A warm start replays every DPRELAX solve: its DPRELAX time must be at
