@@ -10,8 +10,9 @@
 // count of the parallel engine (default: hardware concurrency, capped at
 // 8). The parallel speedup is bounded by the machine's core count - the
 // report records hardware_threads so a 1-core container's numbers read as
-// what they are. The dropping-pass speedup is algorithmic (one controller
-// evaluation for up to 64 injected errors) and shows on any machine.
+// what they are, next to the build type and compiler. The dropping-pass
+// speedup is algorithmic (one controller evaluation for up to 64 injected
+// errors) and shows on any machine.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -198,6 +199,8 @@ int main(int argc, char** argv) {
                "  \"quick\": %s,\n"
                "  \"errors\": %zu,\n"
                "  \"hardware_threads\": %u,\n"
+               "  \"build_type\": \"%s\",\n"
+               "  \"compiler\": \"%s\",\n"
                "  \"serial\": {\"seconds\": %.4f, \"errors_per_sec\": %.2f, "
                "\"detected\": %zu},\n"
                "  \"parallel\": {\"jobs\": %u, \"seconds\": %.4f, "
@@ -215,7 +218,8 @@ int main(int argc, char** argv) {
                "    \"pass_reduction_256_vs_64\": %.3f,\n"
                "    \"pass_reduction_512_vs_64\": %.3f,\n",
                quick ? "true" : "false", errors.size(),
-               std::thread::hardware_concurrency(), serial_s,
+               std::thread::hardware_concurrency(), HLTG_BUILD_TYPE,
+               HLTG_COMPILER, serial_s,
                errors.size() / serial_s, serial.stats.detected, jobs, par_s,
                errors.size() / par_s, par_speedup, par.stats.detected,
                tests.size(), scalar_s, batch_s, drop_speedup, batch_hits,

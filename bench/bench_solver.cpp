@@ -19,16 +19,16 @@
 //
 //   $ ./bench_solver [--quick] [--out BENCH_tg.json]
 //
-// Per configuration the report carries per-error wall-time p50/p95, the
-// detections, every Effort counter under its kEffortFields key
-// (util/effort.h) and the cache hit rate. `relax_evals` counts the
-// schedule steps DPRELAX's event-driven windows evaluated in solves
-// actually run (a memo replay charges none; tools/check_bench.py guards
-// it). `relax_pair_captures`, the iterations that also updated the
-// erroneous machine, is 0 here by construction: every SSL activation
-// constraint is kGoodEquals, and DPRELAX keeps an erroneous-machine window
-// only for kSiteDiffers constraints (the MSE slice of
-// tests/test_relax_replay.cpp runs them). Headlines: the
+// The report names the build type and compiler. Per configuration it
+// carries per-error wall-time p50/p95, the detections, every Effort
+// counter under its kEffortFields key (util/effort.h) and the cache hit
+// rate. `relax_evals` counts the schedule steps DPRELAX's event-driven
+// windows evaluated in solves actually run (a memo replay charges none;
+// tools/check_bench.py guards it). `relax_pair_captures`, the iterations
+// that also updated the erroneous machine, is 0 here by construction:
+// every SSL activation constraint is kGoodEquals, and DPRELAX keeps an
+// erroneous-machine window only for kSiteDiffers constraints (the MSE
+// slice of tests/test_relax_replay.cpp runs them). Headlines: the
 // (decisions + backtracks) reduction engine-on vs engine-off, the DPTRACE
 // expansion reduction and the nogood-probe reduction reuse-on vs reuse-off.
 // The benchmark also asserts that every configuration detects the *same*
@@ -244,9 +244,12 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"tg_solver\",\n"
+               "  \"build_type\": \"%s\",\n"
+               "  \"compiler\": \"%s\",\n"
                "  \"quick\": %s,\n"
                "  \"errors\": %zu,\n",
-               quick ? "true" : "false", errors.size());
+               HLTG_BUILD_TYPE, HLTG_COMPILER, quick ? "true" : "false",
+               errors.size());
   for (const auto& [name, stats] : configs) {
     emit(f, name, *stats);
     std::fprintf(f, ",\n");

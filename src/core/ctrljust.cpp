@@ -213,12 +213,12 @@ bool CtrlJust::apply_nogoods(CtrlJustResult& res) {
 
 void CtrlJust::learn_conflict(CtrlJustResult& res) {
   if (!ctx_ || !engine_->in_conflict()) return;
-  if (ctx_->nogoods.learn(engine_->conflict_cut())) {
+  NogoodStore& nogoods = ctx_->nogoods;
+  if (nogoods.learn(engine_->conflict_cut(nogoods.max_lits()))) {
     ++res.stats.learned;
     if (watcher_) {
-      NogoodStore& store = ctx_->nogoods;
-      const std::size_t slot = store.last_index();
-      watcher_->add(store.lits(slot), slot, store.id(slot));
+      const std::size_t slot = nogoods.last_index();
+      watcher_->add(nogoods.lits(slot), slot, nogoods.id(slot));
     }
   }
 }
@@ -257,9 +257,14 @@ CtrlJustResult CtrlJust::search(const std::vector<CtrlObjective>& objectives,
   }
   win_.clear();
   std::vector<Decision> stack;
+  bool conflict = false;  // the engine refuted the last assertion
 
+  // Bring the forward view up to date with the decisions. After an engine
+  // conflict the next iteration backtracks without reading the window, and
+  // the imply() after that backtrack covers both edits: the window's values
+  // are a function of its assignments alone. The call counts either way.
   auto imply = [&] {
-    win_.imply();
+    if (!conflict) win_.imply();
     ++res.stats.implications;
   };
   // Assert a literal in the engine; false on a conflict (its cut learned).
@@ -277,7 +282,6 @@ CtrlJustResult CtrlJust::search(const std::vector<CtrlObjective>& objectives,
     if (watcher_) watcher_->on_pop(eng->trail().size());
   };
 
-  bool conflict = false;
   for (const CtrlObjective& o : objectives)
     if (!shadow(o.gate, o.cycle, o.value, false)) {
       conflict = true;
@@ -388,6 +392,7 @@ CtrlJustResult CtrlJust::search(const std::vector<CtrlObjective>& objectives,
     imply();
   }
 
+  win_.imply();  // a cap can stop the search right after a conflict
   if (eng) res.stats.implications += eng->propagations();
   if (res.status == TgStatus::kSuccess) {
     for (auto [g, t, v] : win_.assignments()) {

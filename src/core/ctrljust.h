@@ -83,6 +83,15 @@ class CtrlJust {
   /// cannot learn across solves. The context must outlive this object.
   void set_context(SolverContext* ctx) { ctx_ = ctx; }
 
+  /// Make the next solve() behave as a new CtrlJust's first would. Between
+  /// solves the engine keeps its wide gates' watched fanins where the last
+  /// search left them. That reaches the same fixpoints, but in another
+  /// order, which can change antecedents, cuts and counters; a CtrlJust
+  /// reused for another batch of solves calls this first.
+  void renew() {
+    if (engine_) engine_->renew();
+  }
+
   /// Solve for the given objectives, starting from an empty assignment.
   /// `budget`, when given, is polled every iteration and charged with the
   /// search's decisions/backtracks; when it fires the search unwinds with

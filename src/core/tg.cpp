@@ -159,11 +159,12 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
     return s;
   };
 
+  WindowSearch& ws = window_search(window);
   // Reset-trajectory pre-check: with no assignments, the window already
   // implies every gate value forced by the reset state; a plan demanding the
   // opposite (typically: an objective before the pipeline can fill) can be
   // skipped without a search.
-  ControllerWindow reset_win(m_.ctrl, window);
+  const ControllerWindow& reset_win = ws.reset_win;
   auto reset_violates = [&](const PathPlan& plan) {
     for (const CtrlObjective& o : plan.ctrl_objectives) {
       const L3 v = reset_win.value(o.gate, o.cycle);
@@ -176,7 +177,8 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
   // per-search state, while the implication engine's reset fixpoint and the
   // attached per-error context (nogoods + justification cache) carry over -
   // that reuse is the point of the shared solver layer.
-  CtrlJust cj(m_.ctrl, window, cfg_.ctrljust);
+  CtrlJust& cj = ws.cj;
+  cj.renew();
   if (cfg_.ctrljust.use_engine) cj.set_context(&solver_ctx_);
 
   for (const PathPlan& plan : plans) {
@@ -297,6 +299,14 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
   res.status = TgStatus::kFailure;
   if (res.note.empty()) res.note = "all plans exhausted";
   return res;
+}
+
+TestGenerator::WindowSearch& TestGenerator::window_search(unsigned window) {
+  if (!search_ || search_->window != window) {
+    search_.reset();  // free the old window's state before building anew
+    search_ = std::make_unique<WindowSearch>(m_.ctrl, window, cfg_.ctrljust);
+  }
+  return *search_;
 }
 
 TgResult TestGenerator::try_control_flow_macro(const DesignError& err) const {

@@ -111,6 +111,24 @@ class TestGenerator {
   /// so the reuse is outcome-neutral for any error order or --jobs split.
   std::unique_ptr<DpTrace> retry_trace_;
   unsigned retry_trace_window_ = 0;  ///< window retry_trace_ was built for
+  /// CTRLJUST state of one window size: the reset trajectory of the plan
+  /// pre-check (a pure function of the window size) and the search with
+  /// its window, engine and nogood watcher. generate_with_window() renews
+  /// the search before its first plan, so every attempt searches exactly
+  /// as with a new CtrlJust, without constructing one.
+  struct WindowSearch {
+    WindowSearch(const GateNet& gn, unsigned window, CtrlJustConfig cfg)
+        : window(window), reset_win(gn, window), cj(gn, window, cfg) {}
+    unsigned window;
+    ControllerWindow reset_win;
+    CtrlJust cj;
+  };
+  /// The state for `window`, rebuilt only when the window size changes.
+  /// One size is kept, not one per size: the retry window runs for few
+  /// errors (35 of 228 on the Table-1 SSL set), and keeping the base
+  /// window's state alive beside it raised peak memory.
+  WindowSearch& window_search(unsigned window);
+  std::unique_ptr<WindowSearch> search_;
   /// Per-generator deduction state. With solver.scope == kError (default)
   /// it is reset at the start of every generate(): nogoods, cached
   /// justifications and relax memos are shared across the plans and windows

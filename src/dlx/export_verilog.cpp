@@ -23,7 +23,11 @@ std::string verilog_ident(const std::string& name) {
 namespace {
 
 std::string width_decl(unsigned w) {
-  return w == 1 ? "" : "[" + std::to_string(w - 1) + ":0] ";
+  if (w == 1) return "";
+  std::string decl = "[";  // appended: see node_id in netlist/dot.cpp
+  decl += std::to_string(w - 1);
+  decl += ":0] ";
+  return decl;
 }
 
 std::string vconst(std::uint64_t v, unsigned w) {

@@ -152,7 +152,11 @@ bool zero_extends_imm(Op op) {
 std::string to_string(const Instr& i) {
   std::ostringstream os;
   os << mnemonic(i.op);
-  auto reg = [](unsigned r) { return "r" + std::to_string(r); };
+  auto reg = [](unsigned r) {  // appended: see node_id in netlist/dot.cpp
+    std::string name = "r";
+    name += std::to_string(r);
+    return name;
+  };
   switch (i.op) {
     case Op::kNop:
       break;

@@ -17,7 +17,13 @@ const char* shape_for(ModuleKind k) {
   return "ellipse";
 }
 
-std::string node_id(ModId m) { return "m" + std::to_string(m); }
+// Appended, not "m" + std::to_string(m): GCC 12 reports a false
+// -Wrestrict overlap for operator+(const char*, std::string&&).
+std::string node_id(ModId m) {
+  std::string id = "m";
+  id += std::to_string(m);
+  return id;
+}
 
 }  // namespace
 

@@ -20,21 +20,40 @@ ImplicationEngine::ImplicationEngine(const GateNet& gn, unsigned cycles)
   info_.assign(val_.size(), {});
   mark_.assign(val_.size(), 0);
 
-  watch_slot_.assign(n_, -1);
-  int slots = 0;
+  gates_.reserve(n_);
+  std::int32_t slots = 0;
   for (GateId g = 0; g < n_; ++g) {
     const Gate& gate = gn_.gate(g);
-    if ((gate.kind == GateKind::kAnd || gate.kind == GateKind::kOr) &&
-        gate.fanin.size() >= kWatchMinFanin)
-      watch_slot_[g] = slots++;
+    const bool watched =
+        (gate.kind == GateKind::kAnd || gate.kind == GateKind::kOr) &&
+        gate.fanin.size() >= kWatchMinFanin;
+    gates_.push_back({gate.kind, static_cast<std::uint16_t>(gate.fanin.size()),
+                      watched ? slots++ : -1,
+                      static_cast<std::uint32_t>(fanin_.size())});
+    fanin_.insert(fanin_.end(), gate.fanin.begin(), gate.fanin.end());
   }
   watches_.assign(static_cast<std::size_t>(slots) * T_ * 2, 0);
   for (GateId g = 0; g < n_; ++g)
-    if (watch_slot_[g] >= 0)
+    if (gates_[g].watch_slot >= 0)
       for (unsigned t = 0; t < T_; ++t) {
         watch(g, t, 0) = 0;
         watch(g, t, 1) = 1;
       }
+
+  wake_ofs_.reserve(n_ + 1);
+  for (GateId g = 0; g < n_; ++g) {
+    wake_ofs_.push_back(static_cast<std::uint32_t>(wake_.size()));
+    for (GateId f : gn_.fanouts()[g]) {
+      const Gate& fg = gn_.gate(f);
+      if (fg.kind == GateKind::kDff) {
+        wake_.push_back({f, kDffPin});
+        continue;
+      }
+      for (std::uint32_t i = 0; i < fg.fanin.size(); ++i)
+        if (fg.fanin[i] == g) wake_.push_back({f, i});
+    }
+  }
+  wake_ofs_.push_back(static_cast<std::uint32_t>(wake_.size()));
 
   // Reset fixpoint: constants everywhere, DFF reset values at cycle 0.
   for (unsigned t = 0; t < T_; ++t)
@@ -54,6 +73,12 @@ ImplicationEngine::ImplicationEngine(const GateNet& gn, unsigned cycles)
   // Everything below base_ is unconditional and survives reset().
   base_ = {trail_.size(), ante_pool_.size()};
   propagations_ = 0;
+  initial_watches_ = watches_;
+}
+
+void ImplicationEngine::renew() {
+  reset();
+  watches_ = initial_watches_;
 }
 
 void ImplicationEngine::reset() {
@@ -107,9 +132,8 @@ void ImplicationEngine::fail(NodeId nd, const NodeId* ante,
   conflict_nodes_.insert(conflict_nodes_.end(), ante, ante + ante_n);
 }
 
-bool ImplicationEngine::assign(NodeId nd, L3 v, Reason r, const NodeId* ante,
+bool ImplicationEngine::record(NodeId nd, L3 v, Reason r, const NodeId* ante,
                                std::size_t ante_n) {
-  if (val_[nd] == v) return true;
   if (val_[nd] != L3::X) {
     fail(nd, ante, ante_n);
     return false;
@@ -119,7 +143,10 @@ bool ImplicationEngine::assign(NodeId nd, L3 v, Reason r, const NodeId* ante,
   ni.reason = r;
   ni.ante_ofs = static_cast<std::uint32_t>(ante_pool_.size());
   ni.ante_len = static_cast<std::uint16_t>(ante_n);
-  ante_pool_.insert(ante_pool_.end(), ante, ante + ante_n);
+  if (ante_n == 1)
+    ante_pool_.push_back(*ante);
+  else
+    ante_pool_.insert(ante_pool_.end(), ante, ante + ante_n);
   trail_.push_back(nd);
   if (r != Reason::kRoot && r != Reason::kReset) ++propagations_;
   return true;
@@ -149,7 +176,7 @@ bool ImplicationEngine::imply_from_nogood(
 bool ImplicationEngine::deduce_dff(GateId d, unsigned t) {
   if (t == 0) return true;  // reset value, set unconditionally
   const NodeId q = node(d, t);
-  const NodeId dn = node(gn_.gate(d).fanin[0], t - 1);
+  const NodeId dn = node(fanin(d)[0], t - 1);
   if (val_[dn] != L3::X && !assign(q, val_[dn], Reason::kForward, &dn, 1))
     return false;
   if (val_[q] != L3::X && !assign(dn, val_[q], Reason::kBackward, &q, 1))
@@ -158,8 +185,10 @@ bool ImplicationEngine::deduce_dff(GateId d, unsigned t) {
 }
 
 bool ImplicationEngine::deduce_gate(GateId g, unsigned t) {
-  const Gate& gate = gn_.gate(g);
-  const NodeId out = node(g, t);
+  const GateRec& gate = gates_[g];
+  const GateId* in = fanin(g);
+  const NodeId base = node(0, t);
+  const NodeId out = base + g;
   switch (gate.kind) {
     case GateKind::kVar:
     case GateKind::kConst0:
@@ -170,20 +199,20 @@ bool ImplicationEngine::deduce_gate(GateId g, unsigned t) {
     case GateKind::kBuf:
     case GateKind::kNot: {
       const bool inv = gate.kind == GateKind::kNot;
-      const NodeId in = node(gate.fanin[0], t);
-      const L3 iv = val_[in];
+      const NodeId a = base + in[0];
+      const L3 iv = val_[a];
       const L3 ov = val_[out];
       if (iv != L3::X &&
-          !assign(out, inv ? l3_not(iv) : iv, Reason::kForward, &in, 1))
+          !assign(out, inv ? l3_not(iv) : iv, Reason::kForward, &a, 1))
         return false;
       if (ov != L3::X &&
-          !assign(in, inv ? l3_not(ov) : ov, Reason::kBackward, &out, 1))
+          !assign(a, inv ? l3_not(ov) : ov, Reason::kBackward, &out, 1))
         return false;
       return true;
     }
     case GateKind::kXor: {
-      const NodeId a = node(gate.fanin[0], t);
-      const NodeId b = node(gate.fanin[1], t);
+      const NodeId a = base + in[0];
+      const NodeId b = base + in[1];
       const L3 av = val_[a], bv = val_[b], ov = val_[out];
       if (av != L3::X && bv != L3::X) {
         const NodeId ante[2] = {a, b};
@@ -206,11 +235,12 @@ bool ImplicationEngine::deduce_gate(GateId g, unsigned t) {
     case GateKind::kOr: {
       const L3 c = controlling(gate.kind);
       const L3 id = identity_of(gate.kind);
+      const std::uint16_t nin = gate.nfanin;
       unsigned x_count = 0;
       NodeId x_node = kNoNode;
       NodeId c_node = kNoNode;
-      for (GateId in : gate.fanin) {
-        const NodeId ni = node(in, t);
+      for (std::uint16_t i = 0; i < nin; ++i) {
+        const NodeId ni = base + in[i];
         const L3 v = val_[ni];
         if (v == L3::X) {
           ++x_count;
@@ -222,29 +252,29 @@ bool ImplicationEngine::deduce_gate(GateId g, unsigned t) {
       if (c_node != kNoNode) {
         if (!assign(out, c, Reason::kForward, &c_node, 1)) return false;
       } else if (x_count == 0) {
-        std::vector<NodeId> ante;
-        ante.reserve(gate.fanin.size());
-        for (GateId in : gate.fanin) ante.push_back(node(in, t));
-        if (!assign(out, id, Reason::kForward, ante.data(), ante.size()))
+        ante_buf_.clear();
+        for (std::uint16_t i = 0; i < nin; ++i)
+          ante_buf_.push_back(base + in[i]);
+        if (!assign(out, id, Reason::kForward, ante_buf_.data(),
+                    ante_buf_.size()))
           return false;
       }
       const L3 ov = val_[out];
       if (ov == id) {
         // AND=1 (OR=0): every fanin must carry the identity value.
-        for (GateId in : gate.fanin) {
-          const NodeId ni = node(in, t);
-          if (!assign(ni, id, Reason::kBackward, &out, 1)) return false;
-        }
+        for (std::uint16_t i = 0; i < nin; ++i)
+          if (!assign(base + in[i], id, Reason::kBackward, &out, 1))
+            return false;
       } else if (ov == c && c_node == kNoNode && x_count == 1) {
         // AND=0 (OR=1) with a single free fanin: it must be controlling.
-        std::vector<NodeId> ante;
-        ante.reserve(gate.fanin.size());
-        ante.push_back(out);
-        for (GateId in : gate.fanin) {
-          const NodeId ni = node(in, t);
-          if (ni != x_node) ante.push_back(ni);
+        ante_buf_.clear();
+        ante_buf_.push_back(out);
+        for (std::uint16_t i = 0; i < nin; ++i) {
+          const NodeId ni = base + in[i];
+          if (ni != x_node) ante_buf_.push_back(ni);
         }
-        if (!assign(x_node, c, Reason::kBackward, ante.data(), ante.size()))
+        if (!assign(x_node, c, Reason::kBackward, ante_buf_.data(),
+                    ante_buf_.size()))
           return false;
       }
       return true;
@@ -254,15 +284,17 @@ bool ImplicationEngine::deduce_gate(GateId g, unsigned t) {
 }
 
 bool ImplicationEngine::wake_from_fanin(GateId g, unsigned t, unsigned idx) {
-  const Gate& gate = gn_.gate(g);
-  if (watch_slot_[g] < 0) return deduce_gate(g, t);
+  const GateRec& gate = gates_[g];
+  if (gate.watch_slot < 0) return deduce_gate(g, t);
+  const GateId* in = fanin(g);
+  const NodeId base = node(0, t);
   const L3 c = controlling(gate.kind);
   const L3 id = identity_of(gate.kind);
-  const L3 v = val_[node(gate.fanin[idx], t)];
+  const NodeId cn = base + in[idx];
+  const L3 v = val_[cn];
   if (v == c) {
     // A controlling fanin forces the output immediately.
-    const NodeId cn = node(gate.fanin[idx], t);
-    return assign(node(g, t), c, Reason::kForward, &cn, 1);
+    return assign(base + g, c, Reason::kForward, &cn, 1);
   }
   if (v != id) return true;  // fanin went back to X (cannot happen here)
   std::uint16_t& w0 = watch(g, t, 0);
@@ -270,9 +302,9 @@ bool ImplicationEngine::wake_from_fanin(GateId g, unsigned t, unsigned idx) {
   if (idx != w0 && idx != w1) return true;  // unwatched identity: no-op
   std::uint16_t& moved = idx == w0 ? w0 : w1;
   const std::uint16_t other = idx == w0 ? w1 : w0;
-  for (std::uint16_t j = 0; j < gate.fanin.size(); ++j) {
+  for (std::uint16_t j = 0; j < gate.nfanin; ++j) {
     if (j == other || j == idx) continue;
-    if (val_[node(gate.fanin[j], t)] != id) {
+    if (val_[base + in[j]] != id) {
       moved = j;  // keep watching a not-yet-identity fanin
       return true;
     }
@@ -285,39 +317,38 @@ bool ImplicationEngine::propagate() {
   if (conflict_) return false;
   while (qhead_ < trail_.size()) {
     const NodeId nd = trail_[qhead_++];
-    const GateId g = gate_of(nd);
     const unsigned t = cycle_of(nd);
-    const Gate& gate = gn_.gate(g);
+    const GateId g = nd - t * n_;
     // Own-gate deduction: output events run the backward rules; DFF outputs
-    // couple to the previous cycle's D input.
-    if (gate.kind == GateKind::kDff) {
-      if (!deduce_dff(g, t)) return false;
-    } else if (gate.kind != GateKind::kVar &&
-               gate.kind != GateKind::kConst0 &&
-               gate.kind != GateKind::kConst1) {
-      if (!deduce_gate(g, t)) return false;
-    }
+    // couple to the previous cycle's D input. A value the gate's own
+    // forward rule produced is skipped: its fanins already imply it, so
+    // the rules can only re-derive what holds - no assignment, no conflict.
+    if (info_[nd].reason != Reason::kForward && !deduce_gate(g, t))
+      return false;
     // Fanout wakeups: forward rules (watched for wide AND/OR), and the
     // next cycle's output for DFF consumers.
-    for (GateId f : gn_.fanouts()[g]) {
-      const Gate& fg = gn_.gate(f);
-      if (fg.kind == GateKind::kDff) {
-        if (t + 1 < T_ && !deduce_dff(f, t + 1)) return false;
-        continue;
+    for (const Wake w : wakes(g)) {
+      if (w.pin == kDffPin) {
+        if (t + 1 < T_ && !deduce_dff(w.gate, t + 1)) return false;
+      } else if (!wake_from_fanin(w.gate, t, w.pin)) {
+        return false;
       }
-      for (unsigned i = 0; i < fg.fanin.size(); ++i)
-        if (fg.fanin[i] == g && !wake_from_fanin(f, t, i)) return false;
     }
   }
   return true;
 }
 
-std::vector<Lit> ImplicationEngine::conflict_cut() const {
+std::vector<Lit> ImplicationEngine::conflict_cut(std::size_t limit) const {
   std::vector<Lit> cut;
   if (have_pending_) cut.push_back(pending_root_);
-  std::vector<NodeId> stack = conflict_nodes_;
-  std::vector<NodeId> marked;
-  while (!stack.empty()) {
+  std::vector<NodeId>& stack = cut_stack_;
+  std::vector<NodeId>& marked = cut_marked_;
+  stack.assign(conflict_nodes_.begin(), conflict_nodes_.end());
+  marked.clear();
+  // Every literal pushed is distinct - one per marked root node, plus the
+  // clashing root, whose value its node contradicts - so the cut's size
+  // only grows, and once it passes `limit` the finished cut would too.
+  while (!stack.empty() && cut.size() <= limit) {
     const NodeId nd = stack.back();
     stack.pop_back();
     if (mark_[nd]) continue;
@@ -340,6 +371,7 @@ std::vector<Lit> ImplicationEngine::conflict_cut() const {
     }
   }
   for (NodeId nd : marked) mark_[nd] = 0;
+  if (cut.size() > limit) return {};
   std::sort(cut.begin(), cut.end());
   cut.erase(std::unique(cut.begin(), cut.end()), cut.end());
   return cut;

@@ -16,20 +16,26 @@
 // arrives on any fanin, when its output is assigned, or when one of its two
 // watched (not-yet-identity) fanins is assigned - the classic two-watched-
 // literal scheme transposed to gates, so a 40-input OR plane costs O(1)
-// per irrelevant fanin assignment instead of a rescan.
+// per irrelevant fanin assignment instead of a rescan. A per-gate wake
+// table, built at construction, lists the (fanout, pin) pairs an
+// assignment wakes, so no fanin list is scanned to find a pin.
 //
 // Every forced value records its antecedent nodes, forming an implication
 // graph. On contradiction, conflict_cut() walks the graph back to the root
 // assignments (decisions and asserted objectives) actually on a path to
-// the conflict - the learned nogood handed to the conflict store.
+// the conflict - the learned nogood handed to the conflict store. The walk
+// stops as soon as the cut outgrows the caller's limit (the store's width
+// cap): a cut the store would drop is not worth finishing.
 //
 // The engine keeps no J-frontier: CTRLJUST picks its next objective from
 // the forward view of the window, so nothing asks which values still await
 // justification (docs/SOLVER.md).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "gatenet/gatenet.h"
@@ -58,8 +64,14 @@ class ImplicationEngine {
   L3 value(NodeId nd) const { return val_[nd]; }
 
   /// Rewind everything (all levels, all roots) back to the reset-state
-  /// fixpoint computed at construction.
+  /// fixpoint computed at construction. The wide gates' watched fanins stay
+  /// where the last search left them.
   void reset();
+
+  /// reset(), and put the watched fanins back where construction left
+  /// them: the engine is then indistinguishable from a new one, and every
+  /// later deduction is the one a new engine would make.
+  void renew();
 
   /// Assert a root value (an objective, or a decision when `decision`) at
   /// the current level. Returns false on an immediate contradiction.
@@ -81,8 +93,11 @@ class ImplicationEngine {
   bool in_conflict() const { return conflict_; }
 
   /// Root literals (decisions + asserted objectives) the last conflict
-  /// depends on - the implication-graph cut. Sorted, duplicate-free.
-  std::vector<Lit> conflict_cut() const;
+  /// depends on - the implication-graph cut. Sorted, duplicate-free. A cut
+  /// of more than `limit` literals comes back empty, its walk abandoned
+  /// once the limit is passed.
+  std::vector<Lit> conflict_cut(
+      std::size_t limit = static_cast<std::size_t>(-1)) const;
 
   /// Forced (non-root) assignments made since construction/reset.
   std::uint64_t propagations() const { return propagations_; }
@@ -91,6 +106,31 @@ class ImplicationEngine {
   /// The nogood watcher keys its wake-ups off new trail entries; anything
   /// else should treat this as read-only diagnostics.
   const std::vector<NodeId>& trail() const { return trail_; }
+
+  /// One fanout wake-up: fanin `pin` of `gate`, or with pin kDffPin the
+  /// next-cycle output of the DFF `gate`.
+  struct Wake {
+    GateId gate;
+    std::uint32_t pin;
+    bool operator==(const Wake&) const = default;
+  };
+  static constexpr std::uint32_t kDffPin = static_cast<std::uint32_t>(-1);
+  /// What an assignment to gate g wakes, in the order propagate() visits
+  /// it: one entry per pin of each GateNet::fanouts() entry that g drives,
+  /// duplicate fanins included, as a scan of the fanin lists would find
+  /// them. Built once at construction.
+  std::span<const Wake> wakes(GateId g) const {
+    return {wake_.data() + wake_ofs_[g], wake_.data() + wake_ofs_[g + 1]};
+  }
+
+  /// The two fanin pins watched on (g, t) of a wide AND/OR gate; nullopt
+  /// for every other gate. Diagnostics: propagation moves them.
+  std::optional<std::array<unsigned, 2>> watched_pins(GateId g,
+                                                      unsigned t) const {
+    if (gates_[g].watch_slot < 0) return std::nullopt;
+    const std::size_t i = watch_at(g, t);
+    return std::array<unsigned, 2>{watches_[i], watches_[i + 1]};
+  }
 
  private:
   enum class Reason : std::uint8_t {
@@ -108,7 +148,14 @@ class ImplicationEngine {
     std::uint16_t ante_len = 0;
   };
 
+  /// Set node `nd` to `v` for reason `r`: a no-op when it already holds
+  /// `v`, a conflict when it holds the opposite value.
   bool assign(NodeId nd, L3 v, Reason r, const NodeId* ante,
+              std::size_t ante_n) {
+    return val_[nd] == v || record(nd, v, r, ante, ante_n);
+  }
+  /// assign() of a node not already at `v`.
+  bool record(NodeId nd, L3 v, Reason r, const NodeId* ante,
               std::size_t ante_n);
   void fail(NodeId nd, const NodeId* ante, std::size_t ante_n);
 
@@ -119,15 +166,37 @@ class ImplicationEngine {
   /// watched-fanin protocol for wide AND/OR, full deduction otherwise.
   bool wake_from_fanin(GateId g, unsigned t, unsigned idx);
 
-  int watch_slot(GateId g) const { return watch_slot_[g]; }
+  std::size_t watch_at(GateId g, unsigned t) const {
+    return (static_cast<std::size_t>(gates_[g].watch_slot) * T_ + t) * 2;
+  }
   std::uint16_t& watch(GateId g, unsigned t, int which) {
-    return watches_[(static_cast<std::size_t>(watch_slot_[g]) * T_ + t) * 2 +
-                    which];
+    return watches_[watch_at(g, t) + which];
+  }
+  /// The fanins of gate g, from the compact copy below.
+  const GateId* fanin(GateId g) const {
+    return fanin_.data() + gates_[g].fanin_at;
   }
 
   const GateNet& gn_;
   unsigned T_;
   std::uint32_t n_;
+
+  /// What deduction reads of each gate, copied from the GateNet once so
+  /// the hot loops stay off the full Gate records. watch_slot indexes the
+  /// watched-fanin slots of AND/OR gates with >= kWatchMinFanin fanins
+  /// (-1: unwatched).
+  struct GateRec {
+    GateKind kind;
+    std::uint16_t nfanin;
+    std::int32_t watch_slot;
+    std::uint32_t fanin_at;  ///< offset into fanin_
+  };
+  std::vector<GateRec> gates_;
+  std::vector<GateId> fanin_;
+
+  /// wakes(g) is wake_[wake_ofs_[g] .. wake_ofs_[g + 1]).
+  std::vector<std::uint32_t> wake_ofs_;
+  std::vector<Wake> wake_;
 
   std::vector<L3> val_;
   std::vector<NodeInfo> info_;
@@ -141,10 +210,9 @@ class ImplicationEngine {
   std::vector<LevelMark> trail_lim_;
   LevelMark base_{};  ///< marks at the end of the reset fixpoint
 
-  /// Watched-fanin slots for AND/OR gates with >= kWatchMinFanin fanins.
   static constexpr unsigned kWatchMinFanin = 3;
-  std::vector<int> watch_slot_;       ///< per gate; -1 = unwatched
   std::vector<std::uint16_t> watches_;
+  std::vector<std::uint16_t> initial_watches_;  ///< watches_ after construction
 
   bool conflict_ = false;
   std::vector<NodeId> conflict_nodes_;
@@ -154,7 +222,10 @@ class ImplicationEngine {
   bool have_pending_ = false;
 
   std::uint64_t propagations_ = 0;
-  mutable std::vector<std::uint8_t> mark_;  ///< scratch for conflict_cut
+  std::vector<NodeId> ante_buf_;  ///< scratch antecedents for deduce_gate
+  /// Scratch for conflict_cut: visited flags, walk stack, visited nodes.
+  mutable std::vector<std::uint8_t> mark_;
+  mutable std::vector<NodeId> cut_stack_, cut_marked_;
 };
 
 }  // namespace hltg

@@ -9,17 +9,23 @@ namespace hltg {
 void NogoodWatcher::attach(std::uint32_t wi, int lit_idx) {
   const ImplicationEngine::NodeId nd =
       ngs_[wi].nodes[static_cast<std::size_t>(lit_idx)];
-  if (watch_lists_[nd].empty()) touched_.push_back(nd);
-  watch_lists_[nd].push_back(wi);
+  std::uint32_t& li = list_of_[nd];
+  if (li == kNoList) {
+    li = static_cast<std::uint32_t>(lists_used_++);
+    if (li == lists_.size()) lists_.emplace_back();
+    touched_.push_back(nd);
+  }
+  lists_[li].push_back(wi);
 }
 
 void NogoodWatcher::rebuild(const NogoodStore& store) {
-  for (const ImplicationEngine::NodeId nd : touched_) watch_lists_[nd].clear();
+  for (const ImplicationEngine::NodeId nd : touched_) list_of_[nd] = kNoList;
+  for (std::size_t i = 0; i < lists_used_; ++i) lists_[i].clear();
+  lists_used_ = 0;
   touched_.clear();
   ngs_.clear();
   parked_.clear();
-  if (watch_lists_.empty())
-    watch_lists_.resize(eng_.node(0, eng_.cycles()));
+  if (list_of_.empty()) list_of_.assign(eng_.node(0, eng_.cycles()), kNoList);
   cursor_ = eng_.trail().size();
 
   std::uint64_t scratch = 0;  // registration probes are not "comparisons"
@@ -84,12 +90,11 @@ bool NogoodWatcher::fire(const Watched& w, int open, NogoodStore& store,
   ++*hits;
   store.touch_if(w.store_idx, w.store_id);
   const std::size_t target = open >= 0 ? static_cast<std::size_t>(open) : 0;
-  std::vector<ImplicationEngine::NodeId> antecedents;
-  antecedents.reserve(w.nodes.size() - 1);
+  ante_buf_.clear();
   for (std::size_t j = 0; j < w.nodes.size(); ++j)
-    if (j != target) antecedents.push_back(w.nodes[j]);
+    if (j != target) ante_buf_.push_back(w.nodes[j]);
   const Lit& t = w.lits[target];
-  if (!eng_.imply_from_nogood(t.gate, t.cycle, !t.value, antecedents))
+  if (!eng_.imply_from_nogood(t.gate, t.cycle, !t.value, ante_buf_))
     return false;
   return eng_.propagate();
 }
@@ -131,11 +136,15 @@ bool NogoodWatcher::propagate(NogoodStore& store, std::uint64_t* hits,
                               std::uint64_t* comparisons) {
   const std::vector<ImplicationEngine::NodeId>& trail = eng_.trail();
   for (;;) {
+    // With no watch lists no trail entry can wake a nogood.
+    if (lists_used_ == 0) cursor_ = trail.size();
     while (cursor_ < trail.size()) {
       const ImplicationEngine::NodeId nd = trail[cursor_++];
-      std::vector<std::uint32_t>& wl = watch_lists_[nd];
-      for (std::size_t k = 0; k < wl.size();) {
-        const std::uint32_t wi = wl[k];
+      const std::uint32_t li = list_of_[nd];
+      if (li == kNoList) continue;
+      // Index lists_ afresh after attach(): a new list may move the pool.
+      for (std::size_t k = 0; k < lists_[li].size();) {
+        const std::uint32_t wi = lists_[li][k];
         Watched& w = ngs_[wi];
         const int j = w.nodes[static_cast<std::size_t>(w.w1)] == nd ? w.w1
                                                                     : w.w2;
@@ -160,6 +169,7 @@ bool NogoodWatcher::propagate(NogoodStore& store, std::uint64_t* hits,
         if (repl >= 0) {
           (j == w.w1 ? w.w1 : w.w2) = repl;
           attach(wi, repl);
+          std::vector<std::uint32_t>& wl = lists_[li];
           wl[k] = wl.back();  // detach from this node's list
           wl.pop_back();
           continue;

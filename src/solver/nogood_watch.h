@@ -110,9 +110,17 @@ class NogoodWatcher {
   ImplicationEngine& eng_;
   std::vector<Watched> ngs_;
   std::vector<std::uint32_t> parked_;
-  /// Per engine node: indices of nogoods watching it.
-  std::vector<std::vector<std::uint32_t>> watch_lists_;
+  /// Watch lists exist only for watched nodes: list_of_[node] indexes
+  /// lists_ (kNoList: nothing watches the node), and each list holds the
+  /// indices of the nogoods watching its node. rebuild() empties the lists
+  /// but keeps them for reuse, so a watcher that lives across many solves
+  /// holds as many lists as one solve watches nodes, not one per node.
+  static constexpr std::uint32_t kNoList = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> list_of_;
+  std::vector<std::vector<std::uint32_t>> lists_;
+  std::size_t lists_used_ = 0;
   std::vector<ImplicationEngine::NodeId> touched_;  ///< nodes with lists
+  std::vector<ImplicationEngine::NodeId> ante_buf_;  ///< scratch for fire()
   std::size_t cursor_ = 0;
 };
 

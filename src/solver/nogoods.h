@@ -31,6 +31,8 @@ class NogoodStore {
 
   std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
+  /// Widest cut learn() accepts: the limit to pass to conflict_cut().
+  std::size_t max_lits() const { return max_lits_; }
   /// Total nogoods ever accepted (monotone; survives eviction).
   std::uint64_t learned() const { return learned_; }
 

@@ -11,7 +11,9 @@
 namespace hltg {
 
 /// A random acyclic netlist covering every gate kind, with DFF state fed
-/// from arbitrary combinational gates.
+/// from arbitrary combinational gates. Names are appended, not built as
+/// "v" + std::to_string(i): GCC 12 reports a false -Wrestrict overlap for
+/// operator+(const char*, std::string&&).
 inline GateNet random_net(std::uint64_t seed, unsigned nvars,
                           unsigned ngates, unsigned ndffs) {
   Rng rng(seed);
@@ -20,13 +22,15 @@ inline GateNet random_net(std::uint64_t seed, unsigned nvars,
   for (unsigned i = 0; i < nvars; ++i) {
     Gate g;
     g.kind = GateKind::kVar;
-    g.name = "v" + std::to_string(i);
+    g.name = "v";
+    g.name += std::to_string(i);
     pool.push_back(gn.add_gate(g));
   }
   for (unsigned i = 0; i < ndffs; ++i) {
     Gate g;
     g.kind = GateKind::kDff;
-    g.name = "q" + std::to_string(i);
+    g.name = "q";
+    g.name += std::to_string(i);
     g.reset_value = rng.flip();
     g.fanin = {0};  // patched below once combinational gates exist
     pool.push_back(gn.add_gate(g));
@@ -37,7 +41,8 @@ inline GateNet random_net(std::uint64_t seed, unsigned nvars,
   for (unsigned i = 0; i < ngates; ++i) {
     Gate g;
     g.kind = kinds[rng.below(i < 7 ? 7 : sizeof(kinds) / sizeof(kinds[0]))];
-    g.name = "g" + std::to_string(i);
+    g.name = "g";
+    g.name += std::to_string(i);
     unsigned nf = 0;
     if (g.kind == GateKind::kNot || g.kind == GateKind::kBuf) nf = 1;
     if (g.kind == GateKind::kAnd || g.kind == GateKind::kOr ||

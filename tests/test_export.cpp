@@ -112,8 +112,12 @@ TEST(Vcd, HeaderAndDefinitions) {
 
 TEST(Vcd, TimeMarkersPerCycle) {
   const std::string v = dump_vcd(model(), tiny_test(), 6);
-  for (int t = 0; t <= 6; ++t)
-    EXPECT_NE(v.find("#" + std::to_string(t) + "\n"), std::string::npos) << t;
+  for (int t = 0; t <= 6; ++t) {
+    std::string marker = "#";  // appended: see tests/random_net.h
+    marker += std::to_string(t);
+    marker += '\n';
+    EXPECT_NE(v.find(marker), std::string::npos) << t;
+  }
 }
 
 TEST(Vcd, OnlyChangesAfterFirstSample) {

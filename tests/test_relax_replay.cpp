@@ -48,7 +48,8 @@ TEST(RelaxPlanSeed, WindowsNeverCollideOverPlanSpace) {
   std::set<std::uint64_t> win14, win20;
   for (NetId site = 0; site < 64; ++site)
     for (unsigned cyc = 0; cyc < 4; ++cyc) {
-      const std::string shape = "m" + std::to_string(site % 5);
+      std::string shape = "m";  // appended: see tests/random_net.h
+      shape += std::to_string(site % 5);
       win14.insert(relax_plan_seed(0xABCD, site, shape, cyc, 14));
       win20.insert(relax_plan_seed(0xABCD, site, shape, cyc, 20));
     }

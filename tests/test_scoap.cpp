@@ -40,7 +40,11 @@ TEST(Scoap, DepthIncreasesCost) {
   NetlistBuilder b(nl);
   NetId x = b.input("x", 8);
   const NetId first = x;
-  for (int i = 0; i < 5; ++i) x = b.not_w("n" + std::to_string(i), x);
+  for (int i = 0; i < 5; ++i) {
+    std::string name = "n";  // appended: see tests/random_net.h
+    name += std::to_string(i);
+    x = b.not_w(name, x);
+  }
   b.output("o", x);
   const ScoapCosts sc = compute_scoap(nl);
   EXPECT_GT(sc.cc[x], sc.cc[first]);

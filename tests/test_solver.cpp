@@ -15,11 +15,14 @@
 #include "errors/inject.h"
 #include "gatenet/gate_builder.h"
 #include "isa/testcase_io.h"
+#include "random_net.h"
 #include "solver/implication.h"
 #include "solver/justcache.h"
 #include "solver/nogoods.h"
 #include "solver/solver.h"
 #include "solver/store.h"
+#include "util/fnv.h"
+#include "util/rng.h"
 
 namespace hltg {
 namespace {
@@ -140,8 +143,8 @@ TEST(Implication, WatchedWideGate) {
   GateNet gn;
   GateBuilder g(gn);
   std::vector<GateId> in;
-  for (int i = 0; i < 10; ++i)
-    in.push_back(g.var("i" + std::to_string(i), SigRole::kCPI));
+  for (char c = 'a'; c < 'a' + 10; ++c)
+    in.push_back(g.var(std::string(1, c), SigRole::kCPI));
   const GateId y = g.or_("y", in);
   ImplicationEngine eng(gn, 1);
   ASSERT_TRUE(eng.assert_lit(y, 0, true, false));
@@ -227,6 +230,168 @@ TEST(Implication, ClashingRootEntersCut) {
   EXPECT_FALSE(cut.empty());
   EXPECT_TRUE(std::any_of(cut.begin(), cut.end(),
                           [&](const Lit& l) { return l.gate == y; }));
+}
+
+TEST(Implication, BackwardRulesChainThroughGates) {
+  // A value forced backward is itself a demand on its own gate: y = 1
+  // forces x = 1, and x = 1 must in turn force both of x's fanins.
+  GateNet gn;
+  GateBuilder g(gn);
+  const GateId a = g.var("a", SigRole::kCPI);
+  const GateId b = g.var("b", SigRole::kCPI);
+  const GateId c = g.var("c", SigRole::kCPI);
+  const GateId x = g.and_("x", {a, b});
+  const GateId y = g.and_("y", {x, c});
+  ImplicationEngine eng(gn, 1);
+  ASSERT_TRUE(eng.assert_lit(y, 0, true, false));
+  ASSERT_TRUE(eng.propagate());
+  EXPECT_EQ(eng.value(x, 0), L3::T);
+  EXPECT_EQ(eng.value(a, 0), L3::T);
+  EXPECT_EQ(eng.value(b, 0), L3::T);
+}
+
+// ------------------------------------ seeded runs: reuse, cuts, wake table
+
+/// What a seeded run does to an engine: every trail, propagation count and
+/// conflict cut, in order. Two runs log the same only when they made every
+/// deduction the same way.
+struct EngineLog {
+  std::vector<std::vector<ImplicationEngine::NodeId>> trails;
+  std::vector<std::uint64_t> propagations;
+  std::vector<std::vector<Lit>> cuts;
+  bool operator==(const EngineLog&) const = default;
+};
+
+/// A search-like run: each step opens a level and asserts a random free
+/// gate (variables and internal signals alike, so backward rules fire) to
+/// a random value. On a conflict, `on_conflict(eng)` runs and the engine
+/// pops back to a random lower level.
+template <typename OnConflict>
+EngineLog drive(ImplicationEngine& eng, std::uint64_t seed, unsigned steps,
+                OnConflict on_conflict) {
+  const GateNet& gn = eng.net();
+  Rng rng(seed);
+  EngineLog log;
+  unsigned level = 0;
+  for (unsigned i = 0; i < steps; ++i) {
+    const GateId g = static_cast<GateId>(rng.below(gn.num_gates()));
+    const unsigned t = static_cast<unsigned>(rng.below(eng.cycles()));
+    if (eng.value(g, t) != L3::X) continue;
+    eng.push_level();
+    ++level;
+    if (!(eng.assert_lit(g, t, rng.flip(), true) && eng.propagate())) {
+      on_conflict(eng);
+      log.cuts.push_back(eng.conflict_cut());
+      level = static_cast<unsigned>(rng.below(level));
+      eng.pop_to(level);
+    }
+    log.trails.push_back(eng.trail());
+    log.propagations.push_back(eng.propagations());
+  }
+  return log;
+}
+
+EngineLog drive(ImplicationEngine& eng, std::uint64_t seed, unsigned steps) {
+  return drive(eng, seed, steps, [](ImplicationEngine&) {});
+}
+
+/// Every value, the trail, the propagation count and every watched pin.
+bool same_state(const ImplicationEngine& a, const ImplicationEngine& b) {
+  if (a.trail() != b.trail() || a.propagations() != b.propagations())
+    return false;
+  for (unsigned t = 0; t < a.cycles(); ++t)
+    for (GateId g = 0; g < a.net().num_gates(); ++g)
+      if (a.value(g, t) != b.value(g, t) ||
+          a.watched_pins(g, t) != b.watched_pins(g, t))
+        return false;
+  return true;
+}
+
+TEST(Implication, RenewRestoresTheNewEngine) {
+  const unsigned kCycles = 8;
+  ImplicationEngine fresh(model().ctrl, kCycles);
+  ImplicationEngine used(model().ctrl, kCycles);
+  const EngineLog warmup = drive(used, 1, 400);
+  ASSERT_FALSE(warmup.cuts.empty());  // the run backtracked, too
+  // reset() rewinds the values but leaves the watches the run moved.
+  used.reset();
+  EXPECT_FALSE(same_state(fresh, used));
+  used.renew();
+  EXPECT_TRUE(same_state(fresh, used));
+  // From here on both make the same deductions in the same order.
+  EXPECT_EQ(drive(fresh, 2, 400), drive(used, 2, 400));
+}
+
+TEST(Implication, BoundedCutIsTheCutOrNothing) {
+  ImplicationEngine eng(model().ctrl, 8);
+  std::size_t conflicts = 0, widest = 0;
+  drive(eng, 3, 600, [&](ImplicationEngine& e) {
+    const std::vector<Lit> full = e.conflict_cut();
+    ++conflicts;
+    widest = std::max(widest, full.size());
+    for (std::size_t limit = 0; limit <= full.size() + 1; ++limit) {
+      const std::vector<Lit> bounded = e.conflict_cut(limit);
+      if (full.size() <= limit)
+        EXPECT_EQ(bounded, full) << "limit " << limit;
+      else
+        EXPECT_TRUE(bounded.empty()) << "limit " << limit;
+    }
+  });
+  EXPECT_GE(conflicts, 10u);
+  EXPECT_GE(widest, 3u);
+}
+
+TEST(Implication, WakeTableFollowsFanoutScan) {
+  // The table must list what scanning each fanout's fanin list finds: a
+  // fanout that reads g on two pins appears twice in GateNet::fanouts(),
+  // and each appearance wakes both pins.
+  bool saw_duplicate = false;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const GateNet gn = random_net(seed, 4, 40, 4);
+    const ImplicationEngine eng(gn, 2);
+    for (GateId g = 0; g < gn.num_gates(); ++g) {
+      std::vector<ImplicationEngine::Wake> scan;
+      for (GateId f : gn.fanouts()[g]) {
+        const Gate& fg = gn.gate(f);
+        if (fg.kind == GateKind::kDff) {
+          scan.push_back({f, ImplicationEngine::kDffPin});
+          continue;
+        }
+        unsigned pins = 0;
+        for (std::uint32_t i = 0; i < fg.fanin.size(); ++i)
+          if (fg.fanin[i] == g) {
+            scan.push_back({f, i});
+            ++pins;
+          }
+        saw_duplicate |= pins > 1;
+      }
+      const std::span<const ImplicationEngine::Wake> table = eng.wakes(g);
+      EXPECT_TRUE(std::equal(table.begin(), table.end(), scan.begin(),
+                             scan.end()))
+          << "seed " << seed << ", gate " << g;
+    }
+  }
+  EXPECT_TRUE(saw_duplicate);
+}
+
+TEST(Implication, SeededRunIsPinned) {
+  // The deductions themselves are pinned: a long seeded run on the DLX
+  // controller must log exactly what the engine without propagation
+  // shortcuts (no wake table, forward-node skip or bounded cuts) logged;
+  // the constant was computed with that engine. A shortcut that changes
+  // one deduction, its order or its antecedents fails here.
+  Fnv1a h(kFnvOffsetBasis);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ImplicationEngine eng(model().ctrl, 14);
+    const EngineLog log = drive(eng, seed, 500);
+    for (const auto& trail : log.trails) {
+      h.u64(trail.size());
+      for (ImplicationEngine::NodeId nd : trail) h.u64(nd);
+    }
+    for (std::uint64_t p : log.propagations) h.u64(p);
+    for (const auto& cut : log.cuts) h.u64(hash_lits(cut));
+  }
+  EXPECT_EQ(h.h, 0x7435016b1afc3caaull);
 }
 
 // ------------------------------------------------------------ nogood store

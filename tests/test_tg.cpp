@@ -1,10 +1,19 @@
 // End-to-end tests of the full test-generation algorithm (TG, Fig. 3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "core/emit.h"
 #include "core/tg.h"
+#include "errors/boe.h"
+#include "errors/bse.h"
+#include "errors/bus_ssl.h"
+#include "errors/mse.h"
 #include "errors/redundancy.h"
+#include "isa/testcase_io.h"
 #include "sim/cosim.h"
+#include "util/rng.h"
 
 namespace hltg {
 namespace {
@@ -142,6 +151,69 @@ TEST(Tg, StrategyAdapterConfirms) {
   EXPECT_TRUE(a.sim_confirmed);
   EXPECT_GT(a.test_length, 0u);
   EXPECT_GE(a.seconds, 0.0);
+}
+
+TEST(TgState, UsedGeneratorMatchesFreshOnEveryModel) {
+  // A generator keeps its CTRLJUST search state between errors. None of
+  // what earlier errors left there may show: each error of a seeded sample
+  // must come out of a generator that already ran other errors through
+  // both windows exactly as out of a new generator - every outcome and
+  // every counter but the phase times. The sample's sites are distinct
+  // and unused by the earlier errors, so DPTRACE's per-site memo, state
+  // meant to carry over, is empty for each sample error either way.
+  const std::vector<Stage> stages = {Stage::kEX, Stage::kMEM, Stage::kWB};
+  const std::pair<const char*, std::vector<DesignError>> models[] = {
+      {"ssl", wrap(enumerate_bus_ssl(model().dp))},
+      {"mse", wrap(enumerate_mse(model().dp, stages))},
+      {"boe", wrap(enumerate_boe(model().dp, stages))},
+      {"bse", wrap(enumerate_bse(model().dp))},
+  };
+  const TgConfig cfg;
+  for (const auto& [name, errors] : models) {
+    SCOPED_TRACE(name);
+    std::vector<DesignError> order = errors;
+    Rng rng(0x7e57);
+    for (std::size_t i = order.size(); i > 1; --i)
+      std::swap(order[i - 1], order[rng.below(i)]);
+    const std::size_t n_sample =
+        std::min<std::size_t>(6, (order.size() + 1) / 2);
+    std::vector<DesignError> sample, earlier;
+    std::set<NetId> sites;
+    for (const DesignError& e : order)
+      if (sample.size() < n_sample &&
+          sites.insert(e.site_net(model().dp)).second)
+        sample.push_back(e);
+    for (const DesignError& e : order)
+      if (earlier.size() < 4 && !sites.count(e.site_net(model().dp)))
+        earlier.push_back(e);
+    ASSERT_FALSE(sample.empty());
+    ASSERT_FALSE(earlier.empty());
+
+    TestGenerator used(model(), cfg);
+    std::uint64_t plans[2] = {0, 0};
+    for (const DesignError& e : earlier) {
+      plans[1] += used.generate_with_window(e, cfg.retry_window)
+                      .stats.plans_tried;
+      plans[0] += used.generate_with_window(e, cfg.window).stats.plans_tried;
+    }
+    ASSERT_GT(plans[0], 0u);
+    ASSERT_GT(plans[1], 0u);
+
+    for (const DesignError& e : sample) {
+      SCOPED_TRACE(e.describe(model().dp));
+      const TgResult a = TestGenerator(model(), cfg).generate(e);
+      const TgResult b = used.generate(e);
+      EXPECT_EQ(a.status, b.status);
+      EXPECT_EQ(a.abort, b.abort);
+      EXPECT_EQ(serialize_test(a.test), serialize_test(b.test));
+      EXPECT_EQ(a.note, b.note);
+      EXPECT_EQ(a.test_length, b.test_length);
+      for (const EffortField& f : kEffortFields)
+        if (f.journal != EffortJournal::kPhaseTime) {
+          EXPECT_EQ(a.stats.*f.member, b.stats.*f.member) << f.key;
+        }
+    }
+  }
 }
 
 TEST(Emit, CpiBitMapping) {

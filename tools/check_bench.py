@@ -7,9 +7,8 @@ tolerance. Wall-clock fields are never compared with the baseline: CI
 machines vary, counters do not - decisions, backtracks, DPTRACE
 expansions, nogood literal probes, DPRELAX window evaluations and
 batch-simulation pass counts are pure functions of the model and the
-configuration. The one wall-clock
-check is a ratio of two phase times measured in the same run, which holds
-on any machine.
+configuration. The wall-clock checks are ratios of two phase times
+measured in the same run, which hold on any machine.
 
 The report kind is auto-detected from the "bench" field:
 
@@ -19,7 +18,9 @@ The report kind is auto-detected from the "bench" field:
       config replays from the imported memo (relax_hits == relax_lookups
       > 0), and the replay pays - warm_start spends at most a tenth of
       campaign_scope's DPRELAX time in the same run (dprelax_ns), whatever
-      the baseline says.
+      the baseline says. The implication engine must stay cheap: engine_on
+      spends at most 1.6x engine_off's CTRLJUST time (ctrljust_ns) in the
+      same run.
   campaign   (bench_campaign -> BENCH_campaign.json)
       lane-engine sweep: per-width dropping-pass counters vs baseline,
       width-invariant detections, and the floor on the controller-pass
@@ -44,6 +45,11 @@ TG_CONFIGS = ("engine_off", "no_reuse", "engine_on", "campaign_scope",
 # A warm start replays every DPRELAX solve: its DPRELAX time must be at
 # most 1/N of the cold campaign_scope pass of the same run.
 WARM_DPRELAX_SPEEDUP = 10
+# The engine shadows every CTRLJUST search: engine_on may spend at most
+# this multiple of engine_off's CTRLJUST time of the same run. On a 4-vCPU
+# host the engine reads 0.7-1.3; one without its wake table, forward-node
+# skip and bounded cuts read 1.8-2.3.
+MAX_ENGINE_CTRLJUST_RATIO = 1.6
 
 CAMPAIGN_WIDTHS = (64, 256, 512)
 CAMPAIGN_GUARDED_COUNTERS = ("batches", "controller_passes", "gate_evals")
@@ -100,10 +106,24 @@ def check_tg(cur, base, tolerance, failures):
             f"1/{WARM_DPRELAX_SPEEDUP} of campaign_scope's "
             f"{cold_ns / 1e6:.1f} ms - the replayed memo is not paying")
     speedup = f"{cold_ns / warm_ns:.0f}x" if warm_ns and cold_ns else "n/a"
+
+    on_ns = (cur.get("engine_on") or {}).get("ctrljust_ns")
+    off_ns = (cur.get("engine_off") or {}).get("ctrljust_ns")
+    engine_ratio = "n/a"
+    if not on_ns or not off_ns:
+        failures.append("engine_on / engine_off: ctrljust_ns missing")
+    else:
+        engine_ratio = f"{on_ns / off_ns:.2f}x"
+        if on_ns > MAX_ENGINE_CTRLJUST_RATIO * off_ns:
+            failures.append(
+                f"engine_on: CTRLJUST took {on_ns / 1e6:.1f} ms, more than "
+                f"{MAX_ENGINE_CTRLJUST_RATIO}x engine_off's "
+                f"{off_ns / 1e6:.1f} ms - the implication engine costs more "
+                "than it should")
     return (f"{len(TG_CONFIGS)} configs x {len(TG_GUARDED_COUNTERS)} "
             f"counters within {tolerance:.0%} of baseline, warm start "
             f"replayed {hits}/{lookups} relax solves, DPRELAX {speedup} "
-            "faster warm")
+            f"faster warm, CTRLJUST engine on/off {engine_ratio}")
 
 
 def check_campaign(cur, base, tolerance, failures):
