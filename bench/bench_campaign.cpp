@@ -11,8 +11,9 @@
 // 8). The parallel speedup is bounded by the machine's core count - the
 // report records hardware_threads so a 1-core container's numbers read as
 // what they are, next to the build type and compiler. The dropping-pass
-// speedup is algorithmic (one controller evaluation for up to 64 injected
-// errors) and shows on any machine.
+// speedup is algorithmic (one controller evaluation for a whole batch of
+// injected errors, datapath work only where an error's machine differs from
+// the fault-free one) and shows on any machine.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -129,10 +130,10 @@ int main(int argc, char** argv) {
 
   // --- lane-engine sweep: the same dropping pass at forced widths -------
   // Wider lanes pack more injected errors per controller sweep; detections
-  // must be width-invariant while the pass counters shrink ~linearly. The
-  // sweep always runs the FULL SSL population (even under --quick): a
-  // population that fits one 64-lane batch would make every width cost the
-  // same and the guard vacuous.
+  // and per-lane module evaluations must be width-invariant while the pass
+  // counters shrink ~linearly. The sweep always runs the FULL SSL
+  // population (even under --quick): a population that fits one 64-lane
+  // batch would make every width cost the same and the guard vacuous.
   const std::vector<DesignError> full_errors = wrap(enumerate_bus_ssl(m.dp));
   std::vector<const DesignError*> full_ptrs;
   for (const DesignError& e : full_errors) full_ptrs.push_back(&e);
@@ -156,11 +157,12 @@ int main(int argc, char** argv) {
     run.seconds = now_seconds() - t0;
     std::printf(
         "lanes %3u : %.2fs, %llu batches, %llu controller passes, "
-        "%llu gate evals (%s, %zu hits)\n",
+        "%llu gate evals, %llu module evals (%s, %zu hits)\n",
         width, run.seconds,
         static_cast<unsigned long long>(run.stats.batches),
         static_cast<unsigned long long>(run.stats.controller_passes),
         static_cast<unsigned long long>(run.stats.gate_evals),
+        static_cast<unsigned long long>(run.stats.module_evals),
         std::string(to_string(run.stats.backend)).c_str(), run.detections);
     if (!lane_runs.empty() && run.detections != lane_runs[0].detections)
       std::printf("WARNING: %u-lane detections diverged\n", width);
@@ -232,12 +234,13 @@ int main(int argc, char** argv) {
                  "    \"lanes_%u\": {\"backend\": \"%s\", \"seconds\": %.4f, "
                  "\"batches\": %llu, \"controller_passes\": %llu, "
                  "\"gate_evals\": %llu, \"lanes_evaluated\": %llu, "
-                 "\"detections\": %zu}%s\n",
+                 "\"module_evals\": %llu, \"detections\": %zu}%s\n",
                  r.width, std::string(to_string(r.stats.backend)).c_str(),
                  r.seconds, static_cast<unsigned long long>(r.stats.batches),
                  static_cast<unsigned long long>(r.stats.controller_passes),
                  static_cast<unsigned long long>(r.stats.gate_evals),
                  static_cast<unsigned long long>(r.stats.lanes_evaluated),
+                 static_cast<unsigned long long>(r.stats.module_evals),
                  r.detections, i + 1 < lane_runs.size() ? "," : "");
   }
   std::fprintf(f,

@@ -349,11 +349,7 @@ std::uint32_t RelaxWindow::mem_word(std::uint32_t aligned_addr,
   std::uint32_t v = mem_init_.read_word(aligned_addr);
   for (unsigned s = 0; s < t; ++s) {
     const Store& st = stores_[s];
-    if (!st.we || st.addr != aligned_addr) continue;
-    for (unsigned b = 0; b < 4; ++b)
-      if (st.mask & (1u << b))
-        v = static_cast<std::uint32_t>(
-            set_field(v, 8 * b, 8, get_field(st.data, 8 * b, 8)));
+    if (st.we && st.addr == aligned_addr) v = merge_bytes(v, st.data, st.mask);
   }
   return v;
 }

@@ -36,14 +36,18 @@ std::uint32_t SparseMemory::read_word(std::uint32_t addr) const {
   return it == mem_.end() ? 0 : it->second;
 }
 
-void SparseMemory::write_word(std::uint32_t addr, std::uint32_t data,
-                              unsigned bemask) {
-  std::uint32_t cur = read_word(addr);
+std::uint32_t merge_bytes(std::uint32_t cur, std::uint32_t data,
+                          unsigned bemask) {
   for (unsigned b = 0; b < 4; ++b)
     if (bemask & (1u << b))
       cur = static_cast<std::uint32_t>(
           set_field(cur, 8 * b, 8, get_field(data, 8 * b, 8)));
-  mem_[addr & ~3u] = cur;
+  return cur;
+}
+
+void SparseMemory::write_word(std::uint32_t addr, std::uint32_t data,
+                              unsigned bemask) {
+  mem_[addr & ~3u] = merge_bytes(read_word(addr), data, bemask);
 }
 
 SpecSimulator::SpecSimulator(const TestCase& tc) : imem_(tc.imem) {

@@ -45,6 +45,11 @@ struct ArchTrace {
   std::string diff(const ArchTrace& other) const;  ///< "" when equal
 };
 
+/// `cur` with the byte lanes of `data` that `bemask` enables written over
+/// it: what a store does to the word it hits.
+std::uint32_t merge_bytes(std::uint32_t cur, std::uint32_t data,
+                          unsigned bemask);
+
 /// Sparse little-endian byte-addressable memory stored as aligned words.
 class SparseMemory {
  public:

@@ -1,25 +1,33 @@
-// Batch (bit-parallel) error simulation: up to kMaxLanes erroneous machines
-// on one candidate test in a single cycle-accurate simulation.
+// Batch error simulation: up to kMaxLanes erroneous machines on one
+// candidate test in a single cycle-accurate concurrent simulation.
 //
 // The campaign's dropping pass asks "which of the remaining errors does this
 // test fortuitously detect?" - an O(tests x errors) loop that the serial
-// detector answers with one full cosim per (test, error) pair. Here the
-// bit-level controller is evaluated once per cycle for all lanes at once
-// (gatenet/evalw: bit k of word w of every gate is machine 64*w + k), while
-// the word-level datapath - whose 32-bit values cannot share bit-lanes -
-// falls back to scalar per-lane evaluation inside the same cycle loop. The
-// specification trace is computed once per test instead of once per pair,
-// and a lane freezes as soon as its store sequence provably diverges from
-// the specification (detection is monotone), so detected machines stop
-// costing datapath work.
+// detector answers with one full cosim per (test, error) pair. Here a
+// test's erroneous machines share one run (concurrent simulation, Ulrich
+// and Baker 1974): each cycle the fault-free machine is evaluated once, in the
+// model's schedule order, and a lane keeps only what differs from it - a
+// lane mask per datapath net and per register, and its own copies of the
+// memory words it wrote differently. A datapath step runs for a lane only
+// when one of its inputs differs in that lane or the lane's injection sits
+// on the step, which on random suites is a few percent of the lane-steps.
+// The bit-level controller is evaluated once per cycle for all lanes at
+// once (gatenet/evalw: bit k of word w of every gate is machine 64*w + k).
+// The specification trace is computed once per test instead of once per
+// pair; every lane is compared store by store against it (never against
+// the fault-free machine, which may itself diverge), and a lane freezes as
+// soon as its store sequence provably diverges (detection is monotone), so
+// detected machines stop costing work.
 //
 // Lane width follows resolve_lanes (CPUID auto, HLTG_LANES, or an explicit
 // max_lanes); lanes never interact, so chunking a population at any width
 // yields identical per-error outcomes - only the pass counters change.
 //
-// Per-lane semantics are exactly ProcSim + ArchTrace::diff; the equivalence
-// is cross-checked against the scalar `detects()` oracle in
-// tests/test_evalw.cpp for all four error models.
+// Per-lane semantics are exactly ProcSim + ArchTrace::diff, including the
+// single pass's rule that a step reading a net produced later in the
+// schedule sees its previous-cycle value; the equivalence is cross-checked
+// against the scalar `detects()` oracle in tests/test_evalw.cpp for all four
+// error models.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +49,12 @@ struct BatchSimStats {
                                         ///< controller sweep per cycle)
   std::uint64_t gate_evals = 0;         ///< wide single-gate evaluations
   std::uint64_t lanes_evaluated = 0;    ///< sum of lane counts over batches
+  std::uint64_t module_evals = 0;       ///< per-lane datapath module
+                                        ///< evaluations (combinational,
+                                        ///< register-file and memory
+                                        ///< reads), the fault-free
+                                        ///< machine's excluded: independent
+                                        ///< of lane width
   unsigned lane_width = 0;              ///< resolved lanes per batch
   LaneBackend backend = LaneBackend::kScalar;  ///< dispatched kernel
 };
@@ -59,11 +73,6 @@ std::vector<std::uint64_t> batch_detectw(
     const DlxModel& m, const TestCase& tc, const ArchTrace& spec,
     unsigned cycles, const std::vector<const ErrorInjection*>& lanes,
     BatchSimStats* stats = nullptr);
-
-/// 64-lane compatibility wrapper around batch_detectw.
-std::uint64_t batch_detect64(const DlxModel& m, const TestCase& tc,
-                             const ArchTrace& spec, unsigned cycles,
-                             const std::vector<const ErrorInjection*>& lanes);
 
 /// The evaluation schedule a batch simulation steps through: the model's
 /// shared DlxModel::schedule(), never a per-simulation copy.

@@ -3,14 +3,17 @@
 // block+tail shapes) with the scalar 2-valued path, and of eval_cycle3's
 // 01X kernel with an independent util/logic3 evaluator - on random
 // netlists and the real DLX controller - plus the cached DFF list,
-// batch-vs-scalar parity and width-invariance of the batched error
-// detector across all four error models.
+// batch-vs-scalar parity and width-invariance of the concurrent batch
+// error simulator across all four error models, on directed and seeded
+// random programs.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "baseline/random_tg.h"
 #include "core/tg.h"
 #include "errors/boe.h"
 #include "errors/bse.h"
@@ -334,8 +337,12 @@ TEST(EvalwDispatch, ResolveLanesPrecedenceAndClamp) {
 
 // --------------------------------------------------- batched error detect
 
-void expect_batch_matches_scalar(const std::vector<DesignError>& errs,
-                                 const TestCase& tc) {
+/// Batch verdicts at 7 (many partial batches), 64 and 512 lanes equal the
+/// serial oracle's, and so does the per-lane work: the lanes of a batch
+/// never interact, so module_evals does not depend on the width. Returns
+/// the verdicts.
+std::vector<bool> expect_batch_matches_scalar(
+    const std::vector<DesignError>& errs, const TestCase& tc) {
   std::vector<const DesignError*> ptrs;
   ptrs.reserve(errs.size());
   for (const DesignError& e : errs) ptrs.push_back(&e);
@@ -343,15 +350,22 @@ void expect_batch_matches_scalar(const std::vector<DesignError>& errs,
   BatchDetectConfig scalar;
   scalar.force_scalar = true;
   const std::vector<bool> ref = detect_errors(model(), tc, ptrs, scalar);
-  const std::vector<bool> got = detect_errors(model(), tc, ptrs);
-  ASSERT_EQ(ref.size(), got.size());
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_EQ(ref[i], got[i]) << errs[i].describe(model().dp);
-
-  // Chunk width must not matter (7 lanes forces many partial batches).
-  BatchDetectConfig narrow;
-  narrow.max_lanes = 7;
-  EXPECT_EQ(detect_errors(model(), tc, ptrs, narrow), ref);
+  std::vector<std::uint64_t> module_evals;
+  for (unsigned width : {7u, 64u, 512u}) {
+    BatchSimStats stats;
+    BatchDetectConfig cfg;
+    cfg.max_lanes = width;
+    cfg.stats = &stats;
+    const std::vector<bool> got = detect_errors(model(), tc, ptrs, cfg);
+    EXPECT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size() && i < got.size(); ++i)
+      EXPECT_EQ(ref[i], got[i])
+          << width << " lanes: " << errs[i].describe(model().dp);
+    module_evals.push_back(stats.module_evals);
+  }
+  EXPECT_EQ(module_evals[0], module_evals[1]);
+  EXPECT_EQ(module_evals[0], module_evals[2]);
+  return ref;
 }
 
 std::vector<DesignError> head(std::vector<DesignError> v, std::size_t n) {
@@ -460,6 +474,114 @@ TEST(BatchDrop, DroppingCampaignAgreesWithScalarDetector) {
   EXPECT_GT(a.dropped, 0u);
 }
 
+// ------------------------------------- concurrent simulation vs serial
+
+/// The four models' EX/MEM/WB population, as grade_random grades it.
+std::vector<DesignError> full_population() {
+  const std::vector<Stage> stages = {Stage::kEX, Stage::kMEM, Stage::kWB};
+  const Netlist& dp = model().dp;
+  std::vector<DesignError> out;
+  for (auto&& part :
+       {wrap(enumerate_bus_ssl(dp)), wrap(enumerate_mse(dp, stages)),
+        wrap(enumerate_boe(dp, stages)), wrap(enumerate_bse(dp))})
+    out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
+
+/// Seeded biased-random programs, `per_length` of each length 6..48.
+std::vector<TestCase> random_suite(std::uint64_t seed, unsigned per_length) {
+  Rng rng(seed);
+  std::vector<TestCase> out;
+  for (unsigned len : {6u, 10u, 16u, 24u, 32u, 48u})
+    for (unsigned k = 0; k < per_length; ++k) {
+      RandomTgConfig cfg;
+      cfg.program_length = len;
+      out.push_back(random_test(rng, cfg));
+    }
+  return out;
+}
+
+TEST(BatchDetect, RandomSuiteMatchesSerialOnEveryModel) {
+  const std::vector<DesignError> errs = full_population();
+  std::size_t hits = 0, pairs = 0;
+  for (const TestCase& tc : random_suite(23, 1)) {
+    for (const bool b : expect_batch_matches_scalar(errs, tc)) hits += b;
+    pairs += errs.size();
+  }
+  // Both verdicts occur, or the comparison proves little.
+  EXPECT_GT(hits, pairs / 10);
+  EXPECT_LT(hits, pairs);
+}
+
+TEST(BatchDetect, PreviousCycleReadsMatchSerial) {
+  // ProcSim's single pass lets a step that reads a net produced at its own
+  // or a later schedule rank see that net's previous-cycle value. A BSE
+  // that wires mem.bem_b to its own output reads so, and so does the adder
+  // fed from the ALU result it drives.
+  const Netlist& dp = model().dp;
+  const ScheduleFanout& fan = model().fanout();
+  std::vector<DesignError> errs;
+  for (const BusSourceError& e : enumerate_bse(dp))
+    if (e.wrong_source == dp.module(e.module).out)
+      errs.push_back(DesignError{e});
+  ASSERT_FALSE(errs.empty());
+  EXPECT_EQ(dp.module(std::get<BusSourceError>(errs[0].e).module).name,
+            "mem.bem_b");
+  const ModId add = dp.net(dp.find_net("ex.alu_add")).driver;
+  const NetId later = dp.find_net("ex.alu_res");
+  ASSERT_NE(later, kNoNet);
+  ASSERT_GT(fan.producer[later], fan.producer[dp.module(add).out]);
+  for (unsigned slot : {0u, 1u})
+    errs.push_back(DesignError{BusSourceError{add, slot, later}});
+
+  std::vector<TestCase> tests = random_suite(5, 2);
+  tests.push_back(alu_program());
+  tests.push_back(branch_program());
+  std::vector<std::size_t> hits(errs.size(), 0);
+  for (const TestCase& tc : tests) {
+    const std::vector<bool> v = expect_batch_matches_scalar(errs, tc);
+    for (std::size_t i = 0; i < v.size(); ++i) hits[i] += v[i];
+  }
+  // Every such error is detected by some test, and some tests miss the
+  // self-wired ones.
+  for (std::size_t i = 0; i < errs.size(); ++i)
+    EXPECT_GT(hits[i], 0u) << errs[i].describe(dp);
+  EXPECT_LT(hits[0], tests.size());
+}
+
+TEST(BatchDetect, DivergingFaultFreeMachineMatchesSerial) {
+  // A backward branch: the fault-free implementation itself diverges from
+  // the specification (ROADMAP item 2). Every lane is still compared with
+  // the specification's stores, never with the fault-free machine.
+  TestCase tc = make_tc(
+      "sw 0(r4), r1\n"
+      "beqz r0, -3\n"
+      "nop\n"
+      "nop\n");
+  tc.rf_init[1] = 5;
+  tc.rf_init[4] = 64;
+  ASSERT_TRUE(detects(model(), tc, ErrorInjection{}));
+  expect_batch_matches_scalar(full_population(), tc);
+}
+
+TEST(BatchDetect, SeededSuiteVerdictsArePinned) {
+  // FNV-1a over the verdicts of twelve seeded programs against the whole
+  // population, computed with the previous full per-lane engine.
+  const std::vector<DesignError> errs = full_population();
+  ASSERT_EQ(errs.size(), 433u);
+  std::vector<const DesignError*> ptrs;
+  for (const DesignError& e : errs) ptrs.push_back(&e);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::size_t hits = 0;
+  for (const TestCase& tc : random_suite(0x5EED5, 2))
+    for (const bool b : detect_errors(model(), tc, ptrs)) {
+      h = (h ^ (b ? 1u : 0u)) * 0x100000001b3ULL;
+      hits += b;
+    }
+  EXPECT_EQ(hits, 2142u);
+  EXPECT_EQ(h, 0x267db84b82265355ULL);
+}
+
 // --------------------------------------------- width-invariant detection
 
 TEST(BatchDetectWide, OutcomesIdenticalAcrossLaneWidths) {
@@ -487,6 +609,7 @@ TEST(BatchDetectWide, OutcomesIdenticalAcrossLaneWidths) {
   scalar.force_scalar = true;
   const std::vector<bool> ref = detect_errors(model(), tc, ptrs, scalar);
 
+  std::vector<std::uint64_t> module_evals;
   for (unsigned width : {64u, 100u, 256u, 512u}) {
     BatchSimStats stats;
     BatchDetectConfig cfg;
@@ -497,7 +620,17 @@ TEST(BatchDetectWide, OutcomesIdenticalAcrossLaneWidths) {
     EXPECT_GT(stats.batches, 0u);
     EXPECT_GT(stats.controller_passes, 0u);
     EXPECT_EQ(stats.lanes_evaluated, errs.size());
+    module_evals.push_back(stats.module_evals);
   }
+  // Per-lane work is the lanes' own, whatever batches they ride in.
+  EXPECT_GT(module_evals[0], 0u);
+  for (std::uint64_t n : module_evals) EXPECT_EQ(n, module_evals[0]);
+
+  // One batch holds at most kMaxLanes machines.
+  const ErrorInjection clean;
+  const std::vector<const ErrorInjection*> too_many(kMaxLanes + 1, &clean);
+  EXPECT_THROW(batch_detectw(model(), tc, spec_run(tc, 8), 8, too_many),
+               std::invalid_argument);
 
   // Wider lanes buy fewer batches: 90 errors = 2 batches at 64 lanes,
   // 1 at 256+.

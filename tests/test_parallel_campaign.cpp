@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -49,12 +50,12 @@ std::string temp_journal(const char* tag) {
 /// Scripted generator that is a *pure function of the error* (unlike the
 /// call-counted script in test_campaign_resilience), so its outcome cannot
 /// depend on which worker runs it or in what order.
-BudgetedGenFn pure_gen(int* calls = nullptr) {
+BudgetedGenFn pure_gen(std::atomic<int>* calls = nullptr) {
   auto hash = [](const DesignError& e) {
     return std::hash<std::string>{}(e.describe(model().dp));
   };
   return [hash, calls](const DesignError& e, Budget&) {
-    if (calls) ++*calls;  // only read after the pool joins
+    if (calls) ++*calls;  // workers count concurrently
     const std::size_t h = hash(e);
     ErrorAttempt a;
     a.generated = a.sim_confirmed = (h % 3) != 0;
@@ -90,7 +91,7 @@ std::string render_rows(const CampaignResult& r, bool zero_seconds = false) {
 
 CampaignResult run_jobs(const std::vector<DesignError>& errors, unsigned jobs,
                         const ParallelCampaignConfig& base = {},
-                        int* calls = nullptr) {
+                        std::atomic<int>* calls = nullptr) {
   ParallelCampaignConfig cfg = base;
   cfg.jobs = jobs;
   return run_campaign_parallel(
@@ -244,10 +245,10 @@ TEST(ParallelCampaign, ResumeRefusedOnConflictingProvenanceStamps) {
   {
     ParallelCampaignConfig rcfg = cfg;
     rcfg.resume = true;
-    int calls = 0;
+    std::atomic<int> calls{0};
     const CampaignResult ok = run_jobs(errors, 2, rcfg, &calls);
     EXPECT_FALSE(ok.resume_refused);
-    EXPECT_EQ(calls, 0);
+    EXPECT_EQ(calls.load(), 0);
     EXPECT_EQ(ok.resumed_rows, errors.size());
   }
   // Conflicting design stamp: refused outright, nothing attempted.
@@ -255,11 +256,11 @@ TEST(ParallelCampaign, ResumeRefusedOnConflictingProvenanceStamps) {
     ParallelCampaignConfig rcfg = cfg;
     rcfg.resume = true;
     rcfg.design_hash = 0xDEAD;
-    int calls = 0;
+    std::atomic<int> calls{0};
     const CampaignResult refused = run_jobs(errors, 2, rcfg, &calls);
     EXPECT_TRUE(refused.resume_refused);
     EXPECT_TRUE(refused.interrupted);
-    EXPECT_EQ(calls, 0);
+    EXPECT_EQ(calls.load(), 0);
     EXPECT_TRUE(refused.rows.empty());
     EXPECT_NE(refused.journal_note.find("different design"),
               std::string::npos);
@@ -269,10 +270,10 @@ TEST(ParallelCampaign, ResumeRefusedOnConflictingProvenanceStamps) {
     ParallelCampaignConfig rcfg;
     rcfg.journal_path = path;
     rcfg.resume = true;
-    int calls = 0;
+    std::atomic<int> calls{0};
     const CampaignResult legacy = run_jobs(errors, 2, rcfg, &calls);
     EXPECT_FALSE(legacy.resume_refused);
-    EXPECT_EQ(calls, 0);
+    EXPECT_EQ(calls.load(), 0);
     EXPECT_EQ(legacy.resumed_rows, errors.size());
   }
   std::remove(path.c_str());
@@ -312,12 +313,12 @@ TEST(ParallelCampaign, JournalFromParallelRunIsCompleteAndReplayable) {
   EXPECT_EQ(jr.rows.size(), errors.size());  // every row landed, any order
 
   // Resume replays everything: zero generator calls, identical result.
-  int calls = 0;
+  std::atomic<int> calls{0};
   ParallelCampaignConfig rcfg;
   rcfg.journal_path = path;
   rcfg.resume = true;
   const CampaignResult resumed = run_jobs(errors, 4, rcfg, &calls);
-  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(calls.load(), 0);
   EXPECT_EQ(resumed.resumed_rows, errors.size());
   EXPECT_EQ(render_rows(resumed), render_rows(ran));
   EXPECT_EQ(resumed.stats.table1("t"), ran.stats.table1("t"));
@@ -340,13 +341,13 @@ TEST(ParallelCampaign, ResumesFromOutOfOrderJournal) {
       out << journal_row_line(i, gen(errors[i], dummy)) << "\n";
   }
 
-  int calls = 0;
+  std::atomic<int> calls{0};
   ParallelCampaignConfig cfg;
   cfg.journal_path = path;
   cfg.resume = true;
   const CampaignResult resumed = run_jobs(errors, 4, cfg, &calls);
   EXPECT_EQ(resumed.resumed_rows, 3u);
-  EXPECT_EQ(calls, static_cast<int>(errors.size()) - 3);
+  EXPECT_EQ(calls.load(), static_cast<int>(errors.size()) - 3);
 
   // Identical to an uninterrupted journal-free run.
   const CampaignResult full = run_jobs(errors, 2);
@@ -361,11 +362,11 @@ TEST(ParallelCampaign, PreRequestedCancelAttemptsNothing) {
   ParallelCampaignConfig cfg;
   cfg.jobs = 4;
   cfg.cancel = &cancel;
-  int calls = 0;
+  std::atomic<int> calls{0};
   const CampaignResult res =
       run_jobs(small_population(6), 4, cfg, &calls);
   EXPECT_TRUE(res.interrupted);
-  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(calls.load(), 0);
   EXPECT_EQ(res.stats.attempted, 0u);
 }
 
@@ -400,13 +401,13 @@ TEST(DroppingConfig, JournalResumeReproducesDropsWithoutGeneratorRuns) {
   // Only generator attempts are journaled - dropped errors have no row.
   EXPECT_EQ(load_journal(path).rows.size(), first.rows.size());
 
-  int calls = 0;
+  std::atomic<int> calls{0};
   CampaignConfig rcfg;
   rcfg.journal_path = path;
   rcfg.resume = true;
   const CampaignResult resumed = run_campaign_with_dropping(
       model().dp, errors, pure_gen(&calls), scripted_detect(), rcfg);
-  EXPECT_EQ(calls, 0);  // drops re-derived, no generator re-run
+  EXPECT_EQ(calls.load(), 0);  // drops re-derived, no generator re-run
   EXPECT_EQ(resumed.dropped, first.dropped);
   EXPECT_EQ(resumed.tests_kept, first.tests_kept);
   EXPECT_EQ(render_rows(resumed), render_rows(first));

@@ -52,7 +52,8 @@ WARM_DPRELAX_SPEEDUP = 10
 MAX_ENGINE_CTRLJUST_RATIO = 1.6
 
 CAMPAIGN_WIDTHS = (64, 256, 512)
-CAMPAIGN_GUARDED_COUNTERS = ("batches", "controller_passes", "gate_evals")
+CAMPAIGN_GUARDED_COUNTERS = ("batches", "controller_passes", "gate_evals",
+                             "module_evals")
 # The dropping-pass win of wider lanes is structural: 256 lanes must cut
 # controller passes by at least this factor vs the 64-lane sweep.
 MIN_PASS_REDUCTION_256 = 3.0
