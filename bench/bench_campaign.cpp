@@ -24,6 +24,10 @@
 #include <vector>
 
 #include "core/tg.h"
+#include "errors/boe.h"
+#include "errors/bse.h"
+#include "errors/bus_ssl.h"
+#include "errors/mse.h"
 #include "errors/parallel_campaign.h"
 #include "sim/batch_sim.h"
 #include "sim/cosim.h"
@@ -131,10 +135,16 @@ int main(int argc, char** argv) {
   // --- lane-engine sweep: the same dropping pass at forced widths -------
   // Wider lanes pack more injected errors per controller sweep; detections
   // and per-lane module evaluations must be width-invariant while the pass
-  // counters shrink ~linearly. The sweep always runs the FULL SSL
-  // population (even under --quick): a population that fits one 64-lane
-  // batch would make every width cost the same and the guard vacuous.
-  const std::vector<DesignError> full_errors = wrap(enumerate_bus_ssl(m.dp));
+  // counters shrink ~linearly. The sweep always runs the four models'
+  // EX/MEM/WB population that tgbench's grade_random grades (433 errors,
+  // even under --quick): 7 batches per test at 64 lanes, 2 at 256 and 1 at
+  // 512, so each width costs differently and no guard is vacuous.
+  const std::vector<Stage> stages = {Stage::kEX, Stage::kMEM, Stage::kWB};
+  std::vector<DesignError> full_errors;
+  for (auto&& part :
+       {wrap(enumerate_bus_ssl(m.dp)), wrap(enumerate_mse(m.dp, stages)),
+        wrap(enumerate_boe(m.dp, stages)), wrap(enumerate_bse(m.dp))})
+    full_errors.insert(full_errors.end(), part.begin(), part.end());
   std::vector<const DesignError*> full_ptrs;
   for (const DesignError& e : full_errors) full_ptrs.push_back(&e);
   struct LaneRun {

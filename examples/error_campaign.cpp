@@ -6,7 +6,7 @@
 //                      [--deadline-ms N] [--max-backtracks N]
 //                      [--max-decisions N] [--fallback [tries]]
 //                      [--journal file.jsonl] [--resume | --resume=strict]
-//                      [--jobs N] [--drop] [--lanes N] [--solver on|off]
+//                      [--jobs N] [--drop] [--solver on|off]
 //                      [--solver-scope error|campaign] [--store file.ded]
 //                      [--failpoints SPEC]
 //                      [--verify-witness] [--minimize] [--quarantine-dir D]
@@ -14,7 +14,7 @@
 //                      --replay-error N --expect detected|undetected
 //
 // The campaign flags (--model, --stages, the budget caps, --fallback,
-// --solver, --solver-scope, --drop, --jobs, --lanes) go through the parser
+// --solver, --solver-scope, --drop, --jobs) go through the parser
 // tg_client uses into a RequestSpec; plan_request validates it and
 // run_campaign_plan runs it, exactly as the tg_server daemon does.
 //
@@ -40,9 +40,8 @@
 // each generated test against all remaining errors with the bit-parallel
 // batch simulator and drops the fortuitously detected ones. The two are
 // mutually exclusive (dropping is inherently sequential: each drop pass
-// depends on the tests kept so far). --lanes N caps the batch width
-// (default: CPUID auto up to 512, or HLTG_LANES); any width yields the
-// identical summary - only the pass counters change.
+// depends on the tests kept so far). The batch simulator packs up to 512
+// errors per pass on every host.
 //
 // --solver off runs the same CTRLJUST search loop with no implication
 // engine attached (docs/SOLVER.md): no nogood learning, justification cache

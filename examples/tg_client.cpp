@@ -7,8 +7,8 @@
 // Request flags share error_campaign's grammar (parse_request_flag):
 // --model ssl|mse|boe|bse, --stages EX,MEM,WB, --deadline-ms N,
 // --max-backtracks N, --max-decisions N, --fallback [tries], --solver
-// on|off, --solver-scope error|campaign, --drop, --jobs N, --lanes N; and
-// the client adds --window N, --retry-window N, --tag S. --subscribe streams per-error
+// on|off, --solver-scope error|campaign, --drop, --jobs N; and the client
+// adds --window N, --retry-window N, --tag S. --subscribe streams per-error
 // progress rows to stderr as they complete. The result CSV goes to stdout
 // (or --csv FILE); the ack line (request id + cache key) and the summary
 // go to stderr.

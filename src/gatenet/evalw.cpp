@@ -1,134 +1,48 @@
 #include "gatenet/evalw.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "gatenet/evalw_impl.h"
 
 namespace hltg {
-namespace {
 
-// __builtin_cpu_supports requires a literal argument, hence one helper per
-// feature rather than a parameterized one.
-bool cpu_has_avx2() {
-#if defined(__x86_64__) || defined(__i386__)
+std::string_view to_string(LaneBackend b) {
+  switch (b) {
+    case LaneBackend::kScalar: return "scalar";
+    case LaneBackend::kAvx2: return "avx2";
+  }
+  return "?";
+}
+
+bool backend_available(LaneBackend b) {
+  if (b == LaneBackend::kScalar) return true;
+#if defined(HLTG_EVALW_HAVE_AVX2)
+  // The compiler took -mavx2, so this is an x86 target.
   return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
 }
 
-bool cpu_has_avx512f() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
-
-}  // namespace
-
-std::string_view to_string(LaneBackend b) {
-  switch (b) {
-    case LaneBackend::kScalar: return "scalar";
-    case LaneBackend::kAvx2: return "avx2";
-    case LaneBackend::kAvx512: return "avx512";
-  }
-  return "?";
-}
-
-bool backend_available(LaneBackend b) {
-  switch (b) {
-    case LaneBackend::kScalar:
-      return true;
-    case LaneBackend::kAvx2:
-#if defined(HLTG_EVALW_HAVE_AVX2)
-      return cpu_has_avx2();
-#else
-      return false;
-#endif
-    case LaneBackend::kAvx512:
-#if defined(HLTG_EVALW_HAVE_AVX512)
-      return cpu_has_avx512f();
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
 LaneBackend backend_for(unsigned words) {
-  if (words >= 8 && backend_available(LaneBackend::kAvx512))
-    return LaneBackend::kAvx512;
-  if (words >= 4 && backend_available(LaneBackend::kAvx2))
-    return LaneBackend::kAvx2;
-  return LaneBackend::kScalar;
+  return words >= 4 && backend_available(LaneBackend::kAvx2)
+             ? LaneBackend::kAvx2
+             : LaneBackend::kScalar;
 }
 
 unsigned resolve_lanes(unsigned requested) {
-  unsigned lanes = requested;
-  if (lanes == 0) {
-    if (const char* env = std::getenv("HLTG_LANES")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) lanes = static_cast<unsigned>(v);
-    }
-  }
-  if (lanes == 0) {
-    if (backend_available(LaneBackend::kAvx512))
-      lanes = 512;
-    else if (backend_available(LaneBackend::kAvx2))
-      lanes = 256;
-    else
-      lanes = 64;
-  }
-  return std::clamp(lanes, 1u, kMaxLanes);
-}
-
-void eval_cyclew(const GateNet& gn, std::uint64_t* vals, unsigned words,
-                 LaneBackend b) {
-  switch (b) {
-#if defined(HLTG_EVALW_HAVE_AVX512)
-    case LaneBackend::kAvx512:
-      detail::eval_cyclew_avx512(gn, vals, words);
-      return;
-#endif
-#if defined(HLTG_EVALW_HAVE_AVX2)
-    case LaneBackend::kAvx2:
-      detail::eval_cyclew_avx2(gn, vals, words);
-      return;
-#endif
-    default:
-      detail::eval_cyclew_t<detail::ScalarBlock>(gn, vals, words);
-      return;
-  }
-}
-
-void eval_cyclew(const GateNet& gn, std::uint64_t* vals, unsigned words) {
-  eval_cyclew(gn, vals, words, backend_for(words));
+  return requested == 0 ? kMaxLanes : std::clamp(requested, 1u, kMaxLanes);
 }
 
 void eval_gatew(const GateNet& gn, GateId g, std::uint64_t* vals,
-                unsigned words, LaneBackend b) {
-  switch (b) {
-#if defined(HLTG_EVALW_HAVE_AVX512)
-    case LaneBackend::kAvx512:
-      detail::eval_gatew_avx512(gn, g, vals, words);
-      return;
-#endif
+                unsigned words, [[maybe_unused]] LaneBackend b) {
 #if defined(HLTG_EVALW_HAVE_AVX2)
-    case LaneBackend::kAvx2:
-      detail::eval_gatew_avx2(gn, g, vals, words);
-      return;
-#endif
-    default:
-      detail::eval_gatew_t<detail::ScalarBlock>(gn, g, vals, words);
-      return;
+  if (b == LaneBackend::kAvx2) {
+    detail::eval_gatew_avx2(gn, g, vals, words);
+    return;
   }
-}
-
-void eval_gatew(const GateNet& gn, GateId g, std::uint64_t* vals,
-                unsigned words) {
-  eval_gatew(gn, g, vals, words, backend_for(words));
+#endif
+  detail::eval_gatew_t<detail::ScalarBlock>(gn, g, vals, words);
 }
 
 void clock_dffsw(const GateNet& gn, std::uint64_t* vals, unsigned words,

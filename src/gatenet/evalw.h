@@ -9,15 +9,13 @@
 //
 //   vals[g * words + w]   word w of gate g, bit k of word w = lane 64*w + k
 //
-// Three compile-time backends share one templated kernel
-// (gatenet/evalw_impl.h): portable scalar uint64_t, AVX2 (4 words per
-// vector op) and AVX-512 (8 words). The widest backend the binary carries
-// AND the CPU reports via CPUID is dispatched at runtime; every backend
-// computes bit-identical lane values, so lane width and backend choice can
-// never change a simulation outcome - only how many gate visits it costs.
-// Configure with -DHLTG_SIMD=auto|avx512|avx2|scalar (or the
-// -DHLTG_FORCE_SCALAR=ON alias) and override the lane width at runtime with
-// --lanes / HLTG_LANES.
+// Two backends share one templated kernel (gatenet/evalw_impl.h): portable
+// uint64_t and AVX2 (4 words per vector op). The AVX2 one is compiled when
+// the compiler takes -mavx2 and dispatched when the CPU reports AVX2 and a
+// gate has at least one full vector block of words; both compute
+// bit-identical lane values, so the backend can never change a simulation
+// outcome - only how long a gate visit takes. Batches are kMaxLanes wide
+// on every host (resolve_lanes); a narrower width is a per-call cap only.
 //
 // The 01X kernels in evalw_impl.h (eval_gate3_block, eval_cycle3w_t) carry
 // three-valued lanes as a bit pair across two planes: ones-bit set = lane
@@ -26,7 +24,8 @@
 // them at width 1 and CTRLJUST's unrolled window (core/unroll) with cycles
 // as lanes.
 //
-// All kernels walk GateNet::packed() - the topo order and fanin lists
+// The whole-network kernels (eval_cycle3w_t, clock_dffsw, load_resetw)
+// walk GateNet::packed() - the topo order, fanin lists and DFF tables
 // flattened once per network (GateNet::warm_caches()) instead of per call.
 #pragma once
 
@@ -41,7 +40,7 @@ namespace hltg {
 /// Hard cap on lanes per batch; 8 words of 64.
 inline constexpr unsigned kMaxLanes = 512;
 
-enum class LaneBackend : std::uint8_t { kScalar, kAvx2, kAvx512 };
+enum class LaneBackend : std::uint8_t { kScalar, kAvx2 };
 
 std::string_view to_string(LaneBackend b);
 
@@ -49,14 +48,13 @@ std::string_view to_string(LaneBackend b);
 /// (kScalar: always).
 bool backend_available(LaneBackend b);
 
-/// Backend the auto dispatcher picks for `words` words per gate: the widest
-/// available one whose vector covers at least one full block.
+/// Backend for `words` words per gate: AVX2 when it covers at least one
+/// full block (words >= 4) and is available, else scalar.
 LaneBackend backend_for(unsigned words);
 
-/// Resolve the lane width: explicit request > HLTG_LANES env > CPUID auto
-/// (512 with AVX-512, 256 with AVX2, else 64). `requested == 0` means "no
-/// request". The result is clamped to [1, kMaxLanes]; widths that are not
-/// multiples of 64 are honored by masking, exactly like a partial batch.
+/// Lanes per batch: `requested` clamped to [1, kMaxLanes], or kMaxLanes
+/// when `requested == 0`. Widths that are not multiples of 64 are honored
+/// by masking, exactly like a partial batch.
 unsigned resolve_lanes(unsigned requested = 0);
 
 /// Words needed for `lanes` lanes.
@@ -64,17 +62,10 @@ inline unsigned lane_words(unsigned lanes) { return (lanes + 63) / 64; }
 
 // --------------------------------------------------------------- 2-valued
 
-/// Evaluate one cycle for all lanes. `vals` must hold num_gates() * words
-/// entries, pre-loaded with kVar lane words and kDff state; every other
-/// gate is overwritten in topological order.
-void eval_cyclew(const GateNet& gn, std::uint64_t* vals, unsigned words);
-void eval_cyclew(const GateNet& gn, std::uint64_t* vals, unsigned words,
-                 LaneBackend b);
-
-/// Evaluate a single gate's lane words in place (kVar/kDff untouched).
-/// For schedules that interleave controller gates with datapath modules.
-void eval_gatew(const GateNet& gn, GateId g, std::uint64_t* vals,
-                unsigned words);
+/// Evaluate a single gate's lane words in place (kVar/kDff untouched) on
+/// backend `b`. `vals` holds num_gates() * words entries. Schedules that
+/// interleave controller gates with datapath modules (sim/batch_sim) call
+/// it gate by gate in topological order.
 void eval_gatew(const GateNet& gn, GateId g, std::uint64_t* vals,
                 unsigned words, LaneBackend b);
 

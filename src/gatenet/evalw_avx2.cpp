@@ -30,10 +30,6 @@ struct Avx2Block {
 
 }  // namespace
 
-void eval_cyclew_avx2(const GateNet& gn, std::uint64_t* vals, unsigned words) {
-  eval_cyclew_t<Avx2Block>(gn, vals, words);
-}
-
 void eval_gatew_avx2(const GateNet& gn, GateId g, std::uint64_t* vals,
                      unsigned words) {
   eval_gatew_t<Avx2Block>(gn, g, vals, words);

@@ -1,9 +1,9 @@
 // Shared templated kernels behind gatenet/evalw. Each backend TU
-// (evalw.cpp scalar, evalw_avx2.cpp, evalw_avx512.cpp) instantiates the
-// 2-valued templates here with its block type; the per-source -mavx2 /
-// -mavx512f flags therefore never leak into code the dispatcher might run
-// on an older machine. The 01X templates run with ScalarBlock only, from
-// gatenet/eval3 and core/unroll.
+// (evalw.cpp scalar, evalw_avx2.cpp) instantiates the 2-valued gate
+// template here with its block type; the per-source -mavx2 flag therefore
+// never leaks into code the dispatcher might run on an older machine. The
+// 01X templates run with ScalarBlock only, from gatenet/eval3 and
+// core/unroll.
 //
 // A Block models `kWords` consecutive 64-bit lane words: load/store plus
 // the four bitwise ops. The kernels process each gate's words in
@@ -140,22 +140,6 @@ inline void eval_gate3_block(GateKind kind, const GateId* fi, unsigned nf,
 }
 
 template <class B>
-void eval_cyclew_t(const GateNet& gn, std::uint64_t* vals,
-                   const unsigned words) {
-  const PackedLayout& pl = gn.packed();
-  for (const PackedLayout::Op& op : pl.ops) {
-    const GateId* fi = pl.fanin.data() + op.fanin_at;
-    std::uint64_t* out = vals + std::size_t{op.gate} * words;
-    unsigned w = 0;
-    for (; w + B::kWords <= words; w += B::kWords)
-      eval_gate_block<B>(op.kind, fi, op.nfanin, vals, out + w, words, w);
-    for (; w < words; ++w)
-      eval_gate_block<ScalarBlock>(op.kind, fi, op.nfanin, vals, out + w,
-                                   words, w);
-  }
-}
-
-template <class B>
 void eval_gatew_t(const GateNet& gn, GateId g, std::uint64_t* vals,
                   const unsigned words) {
   const Gate& gate = gn.gate(g);
@@ -187,17 +171,11 @@ void eval_cycle3w_t(const GateNet& gn, std::uint64_t* ones,
   }
 }
 
-// Instantiated per backend TU; the dispatcher in evalw.cpp routes to these.
+// The AVX2 instantiation (evalw_avx2.cpp); eval_gatew in evalw.cpp routes
+// to it.
 #if defined(HLTG_EVALW_HAVE_AVX2)
-void eval_cyclew_avx2(const GateNet& gn, std::uint64_t* vals, unsigned words);
 void eval_gatew_avx2(const GateNet& gn, GateId g, std::uint64_t* vals,
                      unsigned words);
-#endif
-#if defined(HLTG_EVALW_HAVE_AVX512)
-void eval_cyclew_avx512(const GateNet& gn, std::uint64_t* vals,
-                        unsigned words);
-void eval_gatew_avx512(const GateNet& gn, GateId g, std::uint64_t* vals,
-                       unsigned words);
 #endif
 
 }  // namespace detail

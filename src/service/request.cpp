@@ -57,7 +57,6 @@ ParsedRequest parse_request(const MiniJson& j) {
   j.get_string("solver_scope", &s.solver_scope);
   j.get_bool("drop", &s.drop);
   if (j.get_u64("jobs", &u)) s.jobs = static_cast<unsigned>(u);
-  if (j.get_u64("lanes", &u)) s.lanes = static_cast<unsigned>(u);
   j.get_bool("subscribe", &s.subscribe);
   j.get_string("tag", &s.tag);
   out.ok = true;
@@ -101,8 +100,6 @@ bool parse_request_flag(int argc, const char* const* argv, int* i,
       *error = "--solver-scope takes 'error' or 'campaign', not '" + v + "'";
   } else if (flag == "--jobs") {
     spec->jobs = static_cast<unsigned>(std::atoi(v.c_str()));
-  } else if (flag == "--lanes") {
-    spec->lanes = static_cast<unsigned>(std::atoi(v.c_str()));
   } else {
     return false;
   }
@@ -127,7 +124,6 @@ std::string request_fields_json(const RequestSpec& s) {
       .str("solver_scope", s.solver_scope)
       .boolean("drop", s.drop)
       .num("jobs", s.jobs)
-      .num("lanes", s.lanes)
       .boolean("subscribe", s.subscribe);
   if (!s.tag.empty()) w.str("tag", s.tag);
   std::string line = w.take();
@@ -190,7 +186,6 @@ RequestPlan plan_request(const DlxModel& m, const RequestSpec& spec) {
   plan.fallback_tries = spec.fallback_tries;
   plan.drop = spec.drop;
   plan.jobs = spec.jobs < 1 ? 1 : spec.jobs;
-  plan.lanes = spec.lanes;
 
   plan.design_hash = tg_design_hash(m);
   plan.config_hash = tg_config_hash(plan.tgcfg);

@@ -10,10 +10,10 @@
 //                 content-addressed cache key.
 //   non-semantic  change only how (or how chattily) it is computed: jobs
 //                 (the engine's determinism contract makes results
-//                 byte-identical for any worker count), lanes (batch
-//                 widths are result-invariant), verbose, subscribe, tag.
-//                 They are EXCLUDED from the key, so e.g. a --jobs 8
-//                 submission hits the cache entry a --jobs 1 run filled.
+//                 byte-identical for any worker count), verbose,
+//                 subscribe, tag. They are EXCLUDED from the key, so e.g.
+//                 a --jobs 8 submission hits the cache entry a --jobs 1
+//                 run filled.
 //
 // The key mixes tg_design_hash (the daemon's design), tg_config_hash (the
 // generator configuration), campaign_fingerprint (the exact error
@@ -50,8 +50,7 @@ struct RequestSpec {
   bool drop = false;                  ///< batched error dropping
 
   // -- non-semantic: excluded from the key --------------------------------
-  unsigned jobs = 1;   ///< worker threads (results identical for any N)
-  unsigned lanes = 0;  ///< batch width cap (0 = auto); result-invariant
+  unsigned jobs = 1;  ///< worker threads (results identical for any N)
   bool subscribe = false;  ///< stream per-error progress rows
   std::string tag;         ///< free-form client label (logging only)
 };
@@ -71,7 +70,7 @@ ParsedRequest parse_request(const MiniJson& j);
 /// tg_client share: --model M, --stages S, --deadline-ms N,
 /// --max-backtracks N, --max-decisions N (0 = no cap, as for the
 /// deadline), --fallback [tries], --solver on|off,
-/// --solver-scope error|campaign, --drop, --jobs N, --lanes N. When
+/// --solver-scope error|campaign, --drop, --jobs N. When
 /// argv[*i] is one of them, stores it in `spec`, advances *i past its
 /// value and returns true; a malformed value sets `*error`. Returns false,
 /// touching nothing, for any other argument (or a value-taking flag with no
@@ -97,7 +96,6 @@ struct RequestPlan {
   unsigned fallback_tries = 64;
   bool drop = false;
   unsigned jobs = 1;
-  unsigned lanes = 0;
   std::uint64_t design_hash = 0;
   std::uint64_t config_hash = 0;  ///< tg_config_hash(tgcfg)
   std::string cache_key;          ///< 16-hex-digit content address

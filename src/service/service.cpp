@@ -114,10 +114,8 @@ CampaignResult run_campaign_plan(const DlxModel& m, const RequestPlan& plan,
   };
   CampaignResult res;
   if (plan.drop) {
-    BatchDetectConfig bcfg;
-    bcfg.max_lanes = plan.lanes;  // 0 = resolve_lanes (CPUID / HLTG_LANES)
     res = run_campaign_with_dropping(m.dp, plan.errors, make_gen(0),
-                                     batch_detector(m, bcfg), cfg);
+                                     batch_detector(m), cfg);
   } else {
     res = run_campaign_parallel(m.dp, plan.errors, make_gen, cfg);
   }

@@ -19,9 +19,10 @@
 // soon as its store sequence provably diverges (detection is monotone), so
 // detected machines stop costing work.
 //
-// Lane width follows resolve_lanes (CPUID auto, HLTG_LANES, or an explicit
-// max_lanes); lanes never interact, so chunking a population at any width
-// yields identical per-error outcomes - only the pass counters change.
+// A population is chunked into batches of kMaxLanes lanes (a caller may
+// cap the width with max_lanes); lanes never interact, so chunking at any
+// width yields identical per-error outcomes - only the pass counters
+// change. Narrow batches cost more: each repeats the fault-free machine.
 //
 // Per-lane semantics are exactly ProcSim + ArchTrace::diff, including the
 // single pass's rule that a step reading a net produced later in the
@@ -60,7 +61,7 @@ struct BatchSimStats {
 };
 
 struct BatchDetectConfig {
-  unsigned max_lanes = 0;     ///< lanes per batch; 0 = resolve_lanes() auto
+  unsigned max_lanes = 0;     ///< lanes per batch; 0 = kMaxLanes
   bool force_scalar = false;  ///< use the serial per-error cosim (reference)
   unsigned cycles = 0;        ///< 0: derive from program length
   BatchSimStats* stats = nullptr;  ///< optional work-counter sink

@@ -2,10 +2,10 @@
 // removed: configuration hashes (journal and deduction-store stamps, service
 // cache keys) and the other FNV fingerprints keep their values, journal
 // rows keep their byte format and those that carry the old probe_* keys
-// still replay, and the removed CLI flags are rejected. The campaign CLI
-// also reads its request flags the way the daemon does (service/request.h),
-// and refuses --csv / --save-tests paths it cannot write instead of
-// reporting them written.
+// still replay, and the removed CLI flags are rejected by the campaign CLI
+// and the daemon client. The campaign CLI also reads its request flags the
+// way the daemon does (service/request.h), and refuses --csv / --save-tests
+// paths it cannot write instead of reporting them written.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "core/tg.h"
 #include "dlx/dlx.h"
@@ -178,10 +179,10 @@ TEST(JournalCompat, RowWithLegacyProbeKeysReplaysWithOtherFieldsIntact) {
 
 // ----------------------------------------------------------------- CLI
 
-/// Runs the campaign CLI with `args`; returns its exit status and output.
-int run_cli(const std::string& args, std::string* out) {
-  const std::string cmd =
-      std::string(HLTG_ERROR_CAMPAIGN) + " " + args + " 2>&1";
+/// Runs the program `tool` with `args`; returns its exit status and output.
+int run_tool(const std::string& tool, const std::string& args,
+             std::string* out) {
+  const std::string cmd = tool + " " + args + " 2>&1";
   std::FILE* p = popen(cmd.c_str(), "r");
   if (!p) return -1;
   char buf[256];
@@ -190,14 +191,25 @@ int run_cli(const std::string& args, std::string* out) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+/// Runs the campaign CLI with `args`.
+int run_cli(const std::string& args, std::string* out) {
+  return run_tool(HLTG_ERROR_CAMPAIGN, args, out);
+}
+
 TEST(CliCompat, RemovedProbeFlagsAreUnknown) {
-  for (const char* flag : {"--probe", "--probe-order"}) {
-    std::string out;
-    EXPECT_EQ(run_cli(std::string(flag) + " on", &out), 1) << flag;
-    EXPECT_NE(out.find("unknown flag '" + std::string(flag) + "'"),
-              std::string::npos)
-        << out;
-  }
+  // The probe flags went with batched decision probing, the batch-width
+  // flag with its setting; tg_client shares the request grammar.
+  const std::pair<const char*, const char*> removed[] = {
+      {"--probe", "on"}, {"--probe-order", "on"}, {"--lanes", "64"}};
+  for (const char* tool : {HLTG_ERROR_CAMPAIGN, HLTG_TG_CLIENT})
+    for (const auto& [flag, value] : removed) {
+      std::string out;
+      EXPECT_EQ(run_tool(tool, std::string(flag) + " " + value, &out), 1)
+          << tool << " " << flag;
+      EXPECT_NE(out.find("unknown flag '" + std::string(flag) + "'"),
+                std::string::npos)
+          << out;
+    }
 }
 
 /// The first eight (deterministic) fields of every line of a campaign CSV.

@@ -8,7 +8,6 @@
 // random programs.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "gatenet/eval3.h"
 #include "gatenet/evalw.h"
 #include "isa/asm.h"
+#include "isa/testcase_io.h"
 #include "random_net.h"
 #include "sim/batch_sim.h"
 #include "sim/cosim.h"
@@ -44,19 +44,17 @@ TestCase make_tc(const std::string& src) {
   return tc;
 }
 
-/// Every backend this binary can actually run (scalar always; SIMD when
+/// Every backend this binary can actually run (scalar always; AVX2 when
 /// compiled in AND the CPU reports it).
 std::vector<LaneBackend> available_backends() {
   std::vector<LaneBackend> out = {LaneBackend::kScalar};
   if (backend_available(LaneBackend::kAvx2)) out.push_back(LaneBackend::kAvx2);
-  if (backend_available(LaneBackend::kAvx512))
-    out.push_back(LaneBackend::kAvx512);
   return out;
 }
 
 /// Word counts exercising the exact-block and block+scalar-tail paths of
 /// every backend (1; 3 = tail only for AVX2; 5 = one AVX2 block + tail;
-/// 8 = one AVX-512 block / two AVX2 blocks).
+/// 8 = two AVX2 blocks).
 const unsigned kWordCounts[] = {1, 2, 3, 4, 5, 8};
 
 // ------------------------------------------------------------- 2-valued
@@ -67,9 +65,11 @@ bool lane2(const std::vector<std::uint64_t>& vw, GateId g, unsigned words,
   return (vw[g * words + (l >> 6)] >> (l & 63)) & 1;
 }
 
-/// Drives `gn` for several clocked cycles at `words` lane words under
-/// backend `b`, checking every gate of every lane against an independent
-/// scalar load_reset2 / eval_cycle2 / clock_dffs2 run of that lane.
+/// Drives `gn` for several clocked cycles at `words` lane words, one
+/// eval_gatew call per gate in the packed op order under backend `b` (as
+/// the batch simulator steps it), checking every gate of every lane
+/// against an independent scalar load_reset2 / eval_cycle2 / clock_dffs2
+/// run of that lane.
 void check_2valued(const GateNet& gn, unsigned words, LaneBackend b,
                    std::uint64_t seed) {
   const unsigned lanes = 64 * words;
@@ -94,19 +94,14 @@ void check_2valued(const GateNet& gn, unsigned words, LaneBackend b,
         vw[g * words + w] = word;
         for (unsigned k = 0; k < 64; ++k) ref[64 * w + k][g] = (word >> k) & 1;
       }
-    eval_cyclew(gn, vw.data(), words, b);
+    for (const PackedLayout::Op& op : gn.packed().ops)
+      eval_gatew(gn, op.gate, vw.data(), words, b);
     for (auto& v : ref) eval_cycle2(gn, v);
     for (GateId g = 0; g < gn.num_gates(); ++g)
       for (unsigned l = 0; l < lanes; ++l)
         ASSERT_EQ(lane2(vw, g, words, l), ref[l][g])
             << "cycle " << cycle << " gate " << gn.gate(g).name << " lane "
             << l << " words=" << words << " backend=" << to_string(b);
-    // Single-gate entry point agrees with the full sweep.
-    for (GateId g = 0; g < gn.num_gates(); ++g) {
-      std::vector<std::uint64_t> copy = vw;
-      eval_gatew(gn, g, copy.data(), words, b);
-      ASSERT_EQ(copy, vw) << "eval_gatew disturbed gate " << g;
-    }
     clock_dffsw(gn, vw.data(), words, scratch);
     for (auto& v : ref) {
       std::vector<bool> next = v;
@@ -156,40 +151,9 @@ TEST(Eval64, LaneForLaneMatchesScalarOverRandomCycles) {
 }
 
 TEST(Evalw, LaneForLaneMatchesScalarOnDlx) {
-  // 256 lanes of the real controller under the auto-dispatched backend
-  // against 256 independent eval_cycle2 runs.
-  const GateNet& gn = model().ctrl;
-  const unsigned words = 4, lanes = 256;
-  const std::vector<GateId> vars = gn.gates_of_kind(GateKind::kVar);
-  Rng rng(7);
-  std::vector<std::uint64_t> vw;
-  load_resetw(gn, vw, words);
-  std::vector<std::vector<bool>> v2(lanes);
-  for (auto& v : v2) load_reset2(gn, v);
-  std::vector<std::uint64_t> scratch;
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    for (GateId g : vars)
-      for (unsigned w = 0; w < words; ++w) {
-        const std::uint64_t word = rng.next();
-        vw[g * words + w] = word;
-        for (unsigned k = 0; k < 64; ++k)
-          v2[64 * w + k][g] = (word >> k) & 1;
-      }
-    eval_cyclew(gn, vw.data(), words);
-    for (auto& v : v2) eval_cycle2(gn, v);
-    for (GateId g = 0; g < gn.num_gates(); ++g)
-      for (unsigned l = 0; l < lanes; ++l)
-        ASSERT_EQ((vw[g * words + (l >> 6)] >> (l & 63)) & 1,
-                  static_cast<std::uint64_t>(v2[l][g]))
-            << "cycle " << cycle << " lane " << l << " gate "
-            << gn.gate(g).name;
-    clock_dffsw(gn, vw.data(), words, scratch);
-    for (auto& v : v2) {
-      std::vector<bool> next = v;
-      clock_dffs2(gn, v, next);
-      v = std::move(next);
-    }
-  }
+  // 256 lanes of the real controller under the backend backend_for picks,
+  // as the batch simulator runs them.
+  check_2valued(model().ctrl, 4, backend_for(4), 7);
 }
 
 TEST(GateNetCache, DffListMatchesScanAndIsInvalidated) {
@@ -300,39 +264,23 @@ TEST(Evalw3, MatchesScalarEval3OnDlxController) {
 
 TEST(EvalwDispatch, ScalarAlwaysAvailableAndBackendForIsAvailable) {
   EXPECT_TRUE(backend_available(LaneBackend::kScalar));
-  for (unsigned words : {1u, 2u, 4u, 8u}) {
-    const LaneBackend b = backend_for(words);
-    EXPECT_TRUE(backend_available(b)) << to_string(b);
-    // A backend is only picked when its vector covers a full block.
-    if (b == LaneBackend::kAvx2) {
-      EXPECT_GE(words, 4u);
-    }
-    if (b == LaneBackend::kAvx512) {
-      EXPECT_GE(words, 8u);
-    }
-  }
-  EXPECT_EQ(backend_for(1), LaneBackend::kScalar);
+  // AVX2 is picked exactly when its vector covers a full block and it runs
+  // here.
+  const LaneBackend wide = backend_available(LaneBackend::kAvx2)
+                               ? LaneBackend::kAvx2
+                               : LaneBackend::kScalar;
+  for (unsigned words = 1; words <= 8; ++words)
+    EXPECT_EQ(backend_for(words), words >= 4 ? wide : LaneBackend::kScalar)
+        << words;
 }
 
 TEST(EvalwDispatch, ResolveLanesPrecedenceAndClamp) {
-  // Explicit request wins and is clamped to [1, kMaxLanes].
+  // No request: kMaxLanes on every host.
+  EXPECT_EQ(resolve_lanes(), kMaxLanes);
+  // An explicit request wins and is clamped to [1, kMaxLanes].
   EXPECT_EQ(resolve_lanes(64), 64u);
   EXPECT_EQ(resolve_lanes(7), 7u);
   EXPECT_EQ(resolve_lanes(100000), kMaxLanes);
-
-  // HLTG_LANES overrides the CPUID auto pick; explicit still wins.
-  ::setenv("HLTG_LANES", "128", 1);
-  EXPECT_EQ(resolve_lanes(), 128u);
-  EXPECT_EQ(resolve_lanes(256), 256u);
-  ::setenv("HLTG_LANES", "9999", 1);
-  EXPECT_EQ(resolve_lanes(), kMaxLanes);
-  ::unsetenv("HLTG_LANES");
-
-  // Auto: some supported width, a multiple of 64.
-  const unsigned autow = resolve_lanes();
-  EXPECT_GE(autow, 64u);
-  EXPECT_LE(autow, kMaxLanes);
-  EXPECT_EQ(autow % 64, 0u);
 }
 
 // --------------------------------------------------- batched error detect
@@ -449,29 +397,56 @@ TEST(BatchDetect, MatchesScalarOnGeneratedTest) {
 
 TEST(BatchDrop, DroppingCampaignAgreesWithScalarDetector) {
   // The dropping engine must compact identically whether the oracle is the
-  // batched simulator or the serial per-error cosim.
-  const auto some = head(wrap(enumerate_bus_ssl(model().dp)), 24);
+  // serial per-error cosim or the batched simulator at any width: 7 lanes
+  // (partial batches) and the default. The heads of the ssl, mse and bse EX
+  // populations; bse's rewired reads exercise the batch engine's
+  // previous-cycle rule.
+  const std::vector<Stage> ex = {Stage::kEX};
+  BusSslConfig ssl;
+  ssl.stages = ex;
+  BseConfig bse;
+  bse.stages = ex;
   const DetectFn scalar = [](const TestCase& tc, const DesignError& e) {
     return detects(model(), tc, e.injection());
   };
-  TestGenerator tg1(model());
-  const CampaignResult a = run_campaign_with_dropping(
-      model().dp, some, tg1.budgeted_strategy(), batch_from_scalar(scalar),
-      CampaignConfig{});
-  TestGenerator tg2(model());
-  const CampaignResult b = run_campaign_with_dropping(
-      model().dp, some, tg2.budgeted_strategy(), batch_detector(model()),
-      CampaignConfig{});
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.tests_kept, b.tests_kept);
-  EXPECT_EQ(a.stats.detected, b.stats.detected);
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  for (std::size_t i = 0; i < a.rows.size(); ++i) {
-    EXPECT_EQ(a.rows[i].error.describe(model().dp),
-              b.rows[i].error.describe(model().dp));
-    EXPECT_EQ(a.rows[i].attempt.detected(), b.rows[i].attempt.detected());
+  BatchDetectConfig narrow;
+  narrow.max_lanes = 7;
+  for (const std::vector<DesignError>& errs :
+       {head(wrap(enumerate_bus_ssl(model().dp, ssl)), 24),
+        head(wrap(enumerate_mse(model().dp, ex)), 24),
+        head(wrap(enumerate_bse(model().dp, bse)), 24)}) {
+    const std::string what = errs.front().model_name();
+    const auto run = [&](const BatchDetectFn& detect) {
+      TestGenerator tg(model());
+      return run_campaign_with_dropping(model().dp, errs,
+                                        tg.budgeted_strategy(), detect,
+                                        CampaignConfig{});
+    };
+    const CampaignResult ref = run(batch_from_scalar(scalar));
+    EXPECT_GT(ref.dropped, 0u) << what;
+    for (const BatchDetectConfig& cfg : {narrow, BatchDetectConfig{}}) {
+      const CampaignResult got = run(batch_detector(model(), cfg));
+      const std::string at = what + " at " + std::to_string(cfg.max_lanes);
+      EXPECT_EQ(got.dropped, ref.dropped) << at;
+      EXPECT_EQ(got.tests_kept, ref.tests_kept) << at;
+      EXPECT_EQ(got.stats.detected, ref.stats.detected) << at;
+      ASSERT_EQ(got.rows.size(), ref.rows.size()) << at;
+      for (std::size_t i = 0; i < ref.rows.size(); ++i) {
+        const ErrorAttempt& r = ref.rows[i].attempt;
+        const ErrorAttempt& g = got.rows[i].attempt;
+        const std::string row = ref.rows[i].error.describe(model().dp);
+        EXPECT_EQ(got.rows[i].error.describe(model().dp), row) << at;
+        EXPECT_EQ(g.outcome(), r.outcome()) << at << ": " << row;
+        EXPECT_EQ(g.abort, r.abort) << at << ": " << row;
+        EXPECT_EQ(g.verify, r.verify) << at << ": " << row;
+        EXPECT_EQ(g.test_length, r.test_length) << at << ": " << row;
+        EXPECT_EQ(g.backtracks, r.backtracks) << at << ": " << row;
+        EXPECT_EQ(g.decisions, r.decisions) << at << ": " << row;
+        EXPECT_EQ(serialize_test(g.test), serialize_test(r.test))
+            << at << ": " << row;
+      }
+    }
   }
-  EXPECT_GT(a.dropped, 0u);
 }
 
 // ------------------------------------- concurrent simulation vs serial

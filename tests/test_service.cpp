@@ -115,13 +115,24 @@ TEST(CacheKey, NonSemanticFieldsShareAKey) {
   ASSERT_EQ(pa.cache_key.size(), 16u);
 
   RequestSpec b = a;
-  b.jobs = 8;       // determinism contract: any worker count, same bytes
-  b.lanes = 64;     // batch width is result-invariant
+  b.jobs = 8;  // determinism contract: any worker count, same bytes
   b.subscribe = true;
   b.tag = "somebody else";
   const RequestPlan pb = plan_request(model(), b);
   ASSERT_TRUE(pb.ok()) << pb.error;
   EXPECT_EQ(pa.cache_key, pb.cache_key);
+
+  // A submit line from a client that still sends the removed batch-width
+  // field gets the key (and so the rows) of one without it.
+  const std::string fields = request_fields_json(a);
+  const ParsedRequest old_line =
+      parse_request(MiniJson("{" + fields + ",\"lanes\":64}"));
+  const ParsedRequest new_line = parse_request(MiniJson("{" + fields + "}"));
+  ASSERT_TRUE(old_line.ok) << old_line.error;
+  ASSERT_TRUE(new_line.ok) << new_line.error;
+  EXPECT_EQ(plan_request(model(), old_line.spec).cache_key,
+            plan_request(model(), new_line.spec).cache_key);
+  EXPECT_EQ(plan_request(model(), old_line.spec).cache_key, pa.cache_key);
 }
 
 TEST(CacheKey, EverySemanticFieldChangesTheKey) {
@@ -228,7 +239,7 @@ TEST(RequestFlags, ParsesTheSharedCampaignFlags) {
                          "--deadline-ms", "2.5", "--max-backtracks", "3",
                          "--max-decisions", "40", "--fallback", "16",
                          "--solver", "off", "--solver-scope", "campaign",
-                         "--drop", "--jobs", "2", "--lanes", "64"},
+                         "--drop", "--jobs", "2"},
                         &s),
             "");
   EXPECT_EQ(s.model, "bse");
@@ -242,7 +253,6 @@ TEST(RequestFlags, ParsesTheSharedCampaignFlags) {
   EXPECT_EQ(s.solver_scope, "campaign");
   EXPECT_TRUE(s.drop);
   EXPECT_EQ(s.jobs, 2u);
-  EXPECT_EQ(s.lanes, 64u);
 
   // --fallback takes its count only when one follows; other tools' flags
   // and a value-taking flag with nothing after it are not consumed.
