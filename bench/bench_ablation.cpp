@@ -54,14 +54,15 @@ int main() {
     rows.push_back({"- window retry", c});
   }
 
-  TextTable t({"configuration", "detected", "aborted", "avg len",
-               "backtracks", "seconds"});
+  TextTable t({"configuration", "detected", "aborted", "proven red.",
+               "avg len", "backtracks", "seconds"});
   for (const Row& row : rows) {
     TestGenerator tg(m, row.cfg);
     const CampaignResult res =
         run_campaign(m.dp, errors, tg.budgeted_strategy());
     t.add_row({row.name, std::to_string(res.stats.detected),
                std::to_string(res.stats.aborted),
+               std::to_string(res.stats.proven_redundant),
                fmt_double(res.stats.avg_test_length, 1),
                std::to_string(res.stats.backtracks),
                fmt_double(res.stats.cpu_seconds, 2)});

@@ -5,8 +5,7 @@
 //
 //   engine_off     CTRLJUST without the implication engine, no DPTRACE reuse
 //   no_reuse       engine on, but DPTRACE memo and nogood watches off -
-//                  the hot paths before the reuse overhaul (the DPRELAX
-//                  memo has no switch; at per-error scope it never hits)
+//                  the hot paths before the reuse overhaul
 //   engine_on      full defaults (per-error solver scope)
 //   campaign_scope engine on with campaign-lifetime deduction reuse
 //   warm_start     campaign scope warm-started from the deduction snapshot
@@ -24,7 +23,10 @@
 // counter under its kEffortFields key (util/effort.h) and the cache hit
 // rate. `relax_evals` counts the schedule steps DPRELAX's event-driven
 // windows evaluated in solves actually run (a memo replay charges none;
-// tools/check_bench.py guards it). `relax_pair_captures`, the iterations
+// tools/check_bench.py guards it). Only the three campaign-scope
+// configurations consult the DPRELAX memo: the generator memoizes only at
+// the scope that exports and imports stores, so `relax_lookups` reads 0
+// for engine_off, no_reuse and engine_on. `relax_pair_captures`, the iterations
 // that also updated the erroneous machine, is 0 here by construction:
 // every SSL activation constraint is kGoodEquals, and DPRELAX keeps an
 // erroneous-machine window only for kSiteDiffers constraints (the MSE

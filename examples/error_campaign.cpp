@@ -76,7 +76,6 @@
 #include <utility>
 #include <vector>
 
-#include "errors/redundancy.h"
 #include "errors/report.h"
 #include "isa/testcase_io.h"
 #include "service/service.h"
@@ -386,33 +385,27 @@ int main(int argc, char** argv) {
     std::printf("saved %u tests to %s/\n", saved, save_dir.c_str());
   }
 
-  // Post-mortem on aborted errors: separate provable redundancy (constant
-  // or unobservable line - the same proofs as bench_table1) from genuine
-  // generator give-ups.
+  // Post-mortem on the undetected errors: the generator's redundancy
+  // screen (constant or unobservable line) already marked the provably
+  // undetectable ones; the rest are generator give-ups and budget aborts.
   if (spec.model == "ssl" && !res.interrupted) {
-    const BitConstants bc = analyze_bit_constants(m.dp);
-    const ObservableBits ob = analyze_observable_bits(m.dp);
-    std::size_t redundant = 0;
-    std::printf("aborted errors:\n");
+    std::printf("undetected errors:\n");
     for (const CampaignRow& row : res.rows) {
-      if (row.attempt.detected()) continue;
-      const auto& e = std::get<BusSslError>(row.error.e);
-      const bool red = is_redundant(bc, ob, e);
-      const bool quarantined =
-          row.attempt.outcome() == AttemptOutcome::kClaimMismatch;
-      redundant += red && !quarantined;
+      const ErrorAttempt& a = row.attempt;
+      if (a.detected()) continue;
+      std::string why = a.abort == AbortReason::kNone
+                            ? "generator gave up"
+                            : "aborted: " + std::string(to_string(a.abort));
+      if (a.outcome() == AttemptOutcome::kClaimMismatch)
+        why = "quarantined: claim mismatch";
+      else if (a.outcome() == AttemptOutcome::kProvenRedundant)
+        why = "provably undetectable";
       std::printf("  %-44s %s\n", row.error.describe(m.dp).c_str(),
-                  quarantined
-                      ? "quarantined: claim mismatch"
-                      : red ? "provably undetectable"
-                            : row.attempt.abort == AbortReason::kNone
-                                  ? "generator gave up"
-                                  : ("aborted: " +
-                                     std::string(to_string(row.attempt.abort)))
-                                        .c_str());
+                  why.c_str());
     }
-    std::printf("%zu of %zu aborted errors are provably undetectable\n",
-                redundant, res.stats.aborted);
+    std::printf("%zu of %zu undetected errors are provably undetectable\n",
+                res.stats.proven_redundant,
+                res.stats.aborted + res.stats.proven_redundant);
   }
   if (res.interrupted) return 130;
   // A claim mismatch means the campaign's own bookkeeping disagreed with

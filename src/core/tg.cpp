@@ -67,7 +67,31 @@ std::vector<CtrlObjective> TestGenerator::usage_objectives(
   return out;
 }
 
+std::string TestGenerator::redundancy_proof(const BusSslError& e) {
+  if (!proofs_)
+    proofs_ = std::make_unique<const RedundancyProofs>(RedundancyProofs{
+        analyze_bit_constants(m_.dp), analyze_observable_bits(m_.dp)});
+  if (is_redundant(proofs_->constants, e))
+    return "proven redundant: constant line, always " +
+           std::to_string(e.stuck_value ? 1 : 0);
+  if (is_redundant(proofs_->constants, proofs_->observable, e))
+    return "proven redundant: unobservable line";
+  return "";
+}
+
 TgResult TestGenerator::generate(const DesignError& err, Budget* budget) {
+  // Prove before searching: an error no test can detect returns at once,
+  // ahead of every budget check and engine, so its row is the same under
+  // any budget and never spends one.
+  if (const auto* ssl = std::get_if<BusSslError>(&err.e)) {
+    std::string proof = redundancy_proof(*ssl);
+    if (!proof.empty()) {
+      TgResult res;
+      res.proven_redundant = true;
+      res.note = std::move(proof);
+      return res;
+    }
+  }
   // With the engine off nothing reads or fills the deduction context.
   if (cfg_.ctrljust.use_engine) {
     // Error scope: fresh deduction state per error, so reuse spans this
@@ -245,8 +269,12 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
     // DPRELAX memo: a solve is a pure function of its subproblem, so
     // replaying a recorded definitive result is byte-identical to
     // recomputing it. Warm-started reruns are answered without a
-    // relaxation sweep (solver/relax_cache.h).
-    const bool memoize = cfg_.ctrljust.use_engine;
+    // relaxation sweep (solver/relax_cache.h). Only campaign scope, the one
+    // that exports and imports stores, memoizes: an error-scope context is
+    // cleared at every error, and no plan relaxes twice within one error
+    // (the window is part of the plan seed), so there it could never hit.
+    const bool memoize = cfg_.ctrljust.use_engine &&
+                         cfg_.solver.scope == SolverScope::kCampaign;
     RelaxCache::Key rkey;
     DpRelaxResult rr;
     bool replayed = false;
@@ -309,13 +337,12 @@ TestGenerator::WindowSearch& TestGenerator::window_search(unsigned window) {
   return *search_;
 }
 
-TgResult TestGenerator::try_control_flow_macro(const DesignError& err) const {
-  TgResult res;
-  const ErrorInjection inj = err.injection();
+std::vector<TestCase> control_flow_templates() {
   // Variant A: branch taken in the good machine (beqz r0). Variant B:
   // branch not taken (beqz r1 with r1 != 0). Marker stores bracket both
   // outcomes; any flip of the decision or corruption of the target changes
   // the committed store sequence.
+  std::vector<TestCase> out;
   for (int variant = 0; variant < 2; ++variant) {
     TestCase tc;
     Instr br;
@@ -330,10 +357,19 @@ TgResult TestGenerator::try_control_flow_macro(const DesignError& err) const {
     tc.rf_init[2] = 0x11111111;
     tc.rf_init[3] = 0x22222222;
     tc.rf_init[4] = 0x33333333;
+    out.push_back(std::move(tc));
+  }
+  return out;
+}
+
+TgResult TestGenerator::try_control_flow_macro(const DesignError& err) const {
+  TgResult res;
+  const ErrorInjection inj = err.injection();
+  for (TestCase& tc : control_flow_templates()) {
     if (detects(m_, tc, inj)) {
       res.status = TgStatus::kSuccess;
-      res.test = tc;
       res.test_length = static_cast<unsigned>(tc.imem.size()) + 2;
+      res.test = std::move(tc);
       return res;
     }
   }
@@ -351,6 +387,7 @@ ErrorAttempt to_attempt(const TgResult& r, double seconds) {
   a.test_length = r.test_length;
   a.note = r.note;
   a.abort = r.abort;
+  a.proven_redundant = r.proven_redundant;
   return a;
 }
 }  // namespace

@@ -21,6 +21,7 @@
 #include "core/dprelax.h"
 #include "core/dptrace.h"
 #include "errors/campaign.h"
+#include "errors/redundancy.h"
 #include "solver/solver.h"
 
 namespace hltg {
@@ -57,6 +58,9 @@ struct TgResult {
   unsigned test_length = 0;  ///< instructions issued through observation
   Effort stats;              ///< summed over both windows and every plan
   std::string note;
+  /// The error was proven undetectable before any search (generate()'s
+  /// redundancy screen); status is kFailure and the note names the proof.
+  bool proven_redundant = false;
 };
 
 class TestGenerator {
@@ -65,7 +69,9 @@ class TestGenerator {
 
   /// `budget`, when given, covers the whole attempt (both windows, every
   /// plan, all three engines); when it fires mid-search the attempt unwinds
-  /// cleanly with kFailure and abort set.
+  /// cleanly with kFailure and abort set. A bus-SSL error the redundancy
+  /// proofs accept returns first, before any budget check, with
+  /// proven_redundant set.
   TgResult generate(const DesignError& err, Budget* budget = nullptr);
 
   /// One attempt with a fixed window (generate() adds the window retry).
@@ -101,9 +107,18 @@ class TestGenerator {
   /// cycle (e.g. a rewired mux input must be selected for a BSE to matter).
   std::vector<CtrlObjective> usage_objectives(const DesignError& err,
                                               unsigned cycle) const;
+  /// The proof that no test detects `e` ("" when neither proof holds).
+  std::string redundancy_proof(const BusSslError& e);
 
   const DlxModel& m_;
   TgConfig cfg_;
+  /// Both redundancy analyses of the datapath (errors/redundancy.h), run
+  /// on the first bus-SSL error and kept for the generator's lifetime.
+  struct RedundancyProofs {
+    BitConstants constants;
+    ObservableBits observable;
+  };
+  std::unique_ptr<const RedundancyProofs> proofs_;
   DpTrace trace_;
   /// Lazily built tracer for the retry window, kept for the generator's
   /// lifetime so its search memo (dptrace.h) survives across errors the
@@ -138,6 +153,12 @@ class TestGenerator {
   /// outcome-neutrality argument in solver/solver.h and docs/SOLVER.md).
   SolverContext solver_ctx_;
 };
+
+/// The two divergence templates try_control_flow_macro tries, in order: a
+/// branch taken in the good machine (beqz r0) and one not taken (beqz r1,
+/// r1 = 1), each followed by two fall-through marker stores and a target
+/// marker store.
+std::vector<TestCase> control_flow_templates();
 
 /// Fingerprint of the implementation model TG searches: every gate of the
 /// controller network and every net/module of the datapath netlist. Two

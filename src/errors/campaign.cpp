@@ -30,6 +30,14 @@ std::string CampaignStats::table1(const std::string& title) const {
   abort_row("  aborted: decision limit", aborted_decisions);
   abort_row("  aborted: cancelled", aborted_cancelled);
   abort_row("  aborted: exception", aborted_exception);
+  // Proven-redundant rows are not aborts, but the paper's "aborted" count
+  // holds every undetected error: show that total beside them.
+  if (proven_redundant > 0) {
+    t.add_kv("No. of errors proven redundant",
+             std::to_string(proven_redundant));
+    t.add_kv("  aborted + proven redundant (paper: aborted)",
+             std::to_string(aborted + proven_redundant));
+  }
   // Self-checking buckets render only when an incident actually occurred:
   // a mismatch-free verified campaign prints byte-identically to an
   // unverified one.
@@ -86,6 +94,8 @@ void CampaignStats::add_attempt(const ErrorAttempt& a,
     if (length_histogram.size() <= a.test_length)
       length_histogram.resize(a.test_length + 1, 0);
     ++length_histogram[a.test_length];
+  } else if (a.proven_redundant) {
+    ++proven_redundant;
   } else {
     ++aborted;
     switch (a.abort) {
@@ -229,8 +239,11 @@ ErrorAttempt attempt_one_error(const DesignError& err, std::size_t index,
     a.note = "generator threw a non-std exception";
   }
 
+  // No test detects a proven-redundant error: the fallback would only
+  // burn its budget.
   const bool degradable =
-      !a.detected() && a.abort != AbortReason::kCancelled &&
+      !a.detected() && !a.proven_redundant &&
+      a.abort != AbortReason::kCancelled &&
       (cfg.fallback || (fault && fault->force_fallback));
   if (!degradable) {
     apply_triage(err, &a, cfg);
@@ -285,6 +298,7 @@ void print_row(const Netlist& nl, const DesignError& err,
     case AttemptOutcome::kDetectedFallback: tag = "fbk "; break;
     case AttemptOutcome::kAborted: tag = "abrt"; break;
     case AttemptOutcome::kClaimMismatch: tag = "mism"; break;
+    case AttemptOutcome::kProvenRedundant: tag = "red "; break;
   }
   std::fprintf(stderr, "  [%s] %s%s", tag, err.describe(nl).c_str(),
                a.note.empty() ? "" : ("  (" + a.note + ")").c_str());

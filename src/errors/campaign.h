@@ -29,6 +29,7 @@ enum class AttemptOutcome : std::uint8_t {
   kDetectedFallback,       ///< the degradation generator produced one
   kAborted,                ///< no confirmed test (budget, give-up, exception)
   kClaimMismatch,          ///< detection claim failed the independent oracle
+  kProvenRedundant,        ///< no test can detect it (errors/redundancy.h)
 };
 
 constexpr std::string_view to_string(AttemptOutcome o) {
@@ -37,6 +38,7 @@ constexpr std::string_view to_string(AttemptOutcome o) {
     case AttemptOutcome::kDetectedFallback: return "detected_fallback";
     case AttemptOutcome::kAborted: return "aborted";
     case AttemptOutcome::kClaimMismatch: return "claim_mismatch";
+    case AttemptOutcome::kProvenRedundant: return "proven_redundant";
   }
   return "?";
 }
@@ -83,6 +85,10 @@ struct ErrorAttempt : Effort {
   std::string note;
   AbortReason abort = AbortReason::kNone;  ///< why the attempt was cut short
   bool via_fallback = false;  ///< produced by the degradation generator
+  /// The generator proved the error undetectable before searching (a
+  /// constant or unobservable line, errors/redundancy.h): no test exists,
+  /// so the row is neither aborted nor offered to the fallback.
+  bool proven_redundant = false;
 
   // Self-checking triage (src/triage/, docs/ROBUSTNESS.md). `verify` is the
   // final cross-check verdict for the row; a kClaimMismatch verdict demotes
@@ -109,7 +115,9 @@ struct ErrorAttempt : Effort {
   AttemptOutcome outcome() const {
     if (verify == WitnessVerdict::kClaimMismatch)
       return AttemptOutcome::kClaimMismatch;
-    if (!detected()) return AttemptOutcome::kAborted;
+    if (!detected())
+      return proven_redundant ? AttemptOutcome::kProvenRedundant
+                              : AttemptOutcome::kAborted;
     return via_fallback ? AttemptOutcome::kDetectedFallback
                         : AttemptOutcome::kDetectedDeterministic;
   }
@@ -145,6 +153,9 @@ struct CampaignStats {
   /// independent oracle refuted and no cross-config retry could vindicate.
   /// Disjoint from `detected` and `aborted`.
   std::size_t claim_mismatch = 0;
+  /// Rows the generator proved undetectable before searching. Disjoint
+  /// from `aborted`; the paper's "aborted" count is aborted + this.
+  std::size_t proven_redundant = 0;
   /// Cross-check tallies (not rendered in table1 unless nonzero, so a
   /// mismatch-free verified campaign prints byte-identically to an
   /// unverified one).

@@ -83,6 +83,9 @@ std::string journal_row_line(std::size_t index, const ErrorAttempt& a) {
      << to_string(a.abort) << "\",\"via_fallback\":"
      << (a.via_fallback ? "true" : "false") << ",\"note\":\""
      << json_escape(a.note) << "\"";
+  // Emitted only when set: other rows keep their old bytes, and journals
+  // written before the screen replay with the false default.
+  if (a.proven_redundant) os << ",\"proven_redundant\":true";
   // Triage fields are emitted only when set, so journals from unverified
   // campaigns keep their pre-triage byte layout (and old journals replay
   // with the kUnchecked default).
@@ -156,6 +159,7 @@ JournalReplay load_journal(const std::string& path) {
     if (j.get_string("abort", &abort_s)) a.abort = abort_reason_from(abort_s);
     j.get_bool("via_fallback", &a.via_fallback);
     j.get_string("note", &a.note);
+    j.get_bool("proven_redundant", &a.proven_redundant);
     // Triage fields: absent in pre-triage and unverified journals; the
     // kUnchecked / false defaults keep those replayable.
     std::string verify_s, witness_s;

@@ -20,6 +20,9 @@
 //                    "test_length":N,<effort counters>,
 //                    "seconds":F,"abort":"<reason>","via_fallback":b,
 //                    "note":"...","test":"<testcase_io text>"}
+//                   plus "proven_redundant":true after "note" on a row
+//                   the generator proved undetectable (omitted when
+//                   false, so journals written before the field replay).
 //                   The effort counters are "key":N pairs in the order
 //                   and under the journal rule of kEffortFields
 //                   (util/effort.h): six on every row, the three phase

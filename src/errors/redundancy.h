@@ -5,8 +5,10 @@
 // prove lines constant with a conservative forward constant-bit dataflow
 // over the datapath (zero-extension upper bits, constant operands through
 // word gates, registers whose feed always matches their reset value, ...).
-// The Table-1 bench reports these separately from genuine aborts, answering
-// the paper's open question about its 46 aborted errors for our model.
+// TestGenerator::generate runs both proofs before it searches and reports an
+// accepted error as proven_redundant, apart from genuine aborts: that
+// answers the paper's open question about its 46 aborted errors for our
+// model.
 #pragma once
 
 #include <cstdint>

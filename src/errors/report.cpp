@@ -41,6 +41,8 @@ std::string campaign_markdown(const Netlist& nl, const CampaignResult& res,
   os << "| errors | " << res.stats.total << " |\n";
   os << "| detected | " << res.stats.detected << " |\n";
   os << "| aborted | " << res.stats.aborted << " |\n";
+  if (res.stats.proven_redundant > 0)
+    os << "| proven redundant | " << res.stats.proven_redundant << " |\n";
   if (res.stats.claim_mismatch > 0)
     os << "| claim mismatches (quarantined) | " << res.stats.claim_mismatch
        << " |\n";

@@ -209,6 +209,10 @@ RequestPlan plan_request(const DlxModel& m, const RequestSpec& spec) {
   f.u64(spec.max_decisions);
   f.u64(spec.fallback ? 1u : 0u);
   f.u64(spec.fallback ? spec.fallback_tries : 0u);
+  // The row format: bumped when the same request yields different rows,
+  // so no payload cached under the old rows is served. 1: provably
+  // redundant errors read proven_redundant, not aborted.
+  f.u64(1u);
   plan.cache_key = hex16(f.h);
   return plan;
 }

@@ -729,7 +729,10 @@ void fold_stats(BatchSimStats* stats, const BatchSim& sim,
   stats->module_evals += sim.module_evals();
   stats->lanes_evaluated += lanes;
   stats->lane_width = width;
-  stats->backend = sim.backend();
+  if (lanes > stats->widest_batch) {
+    stats->widest_batch = lanes;
+    stats->backend = sim.backend();
+  }
 }
 
 }  // namespace

@@ -57,7 +57,10 @@ struct BatchSimStats {
                                         ///< machine's excluded: independent
                                         ///< of lane width
   unsigned lane_width = 0;              ///< resolved lanes per batch
-  LaneBackend backend = LaneBackend::kScalar;  ///< dispatched kernel
+  std::uint64_t widest_batch = 0;       ///< lanes of the widest batch
+  /// Kernel of the widest batch: a full-width batch runs AVX2 even when
+  /// the remainder batch after it runs the portable kernel.
+  LaneBackend backend = LaneBackend::kScalar;
 };
 
 struct BatchDetectConfig {

@@ -140,17 +140,24 @@ TEST(Budget, OneMillisecondCampaignCompletesWithAborts) {
   // error inside 1 ms, so detections are allowed; what is not allowed is an
   // undetected error without a structured reason... which for a pure
   // deadline budget is exactly kDeadline.
+  // A provably redundant error is screened before any budget check, so it
+  // reads proven_redundant under the deadline too.
   TestGenerator tg(model());
   CampaignConfig cfg;
   cfg.budget.deadline_seconds = 0.001;
-  const auto errors = small_population();
+  auto errors = small_population();
+  errors.push_back(ssl("ex.slt32", 31, false));
   const CampaignResult res =
       run_campaign(model().dp, errors, tg.budgeted_strategy(), cfg);
   EXPECT_EQ(res.stats.total, errors.size());
   EXPECT_EQ(res.stats.attempted, errors.size());
-  EXPECT_EQ(res.stats.detected + res.stats.aborted, errors.size());
+  EXPECT_EQ(res.stats.proven_redundant, 1u);
+  EXPECT_EQ(res.stats.detected + res.stats.aborted +
+                res.stats.proven_redundant,
+            errors.size());
+  EXPECT_TRUE(res.rows.back().attempt.proven_redundant);
   for (const CampaignRow& row : res.rows) {
-    if (!row.attempt.detected()) {
+    if (!row.attempt.detected() && !row.attempt.proven_redundant) {
       EXPECT_EQ(row.attempt.abort, AbortReason::kDeadline)
           << row.error.describe(model().dp);
     }

@@ -78,11 +78,13 @@ TEST(FnvCompat, DesignHashAndFingerprintArePinned) {
   const std::vector<DesignError> errors = wrap(enumerate_bus_ssl(m.dp));
   ASSERT_EQ(errors.size(), 228u);
   EXPECT_EQ(campaign_fingerprint(m.dp, errors), 0xb92005bb80a13fe8ull);
-  EXPECT_EQ(plan_request(m, RequestSpec{}).cache_key, "5bc90980623d9a50");
+  // The cache keys mix the row format: payloads cached before rows could
+  // read proven_redundant hash elsewhere and are never served.
+  EXPECT_EQ(plan_request(m, RequestSpec{}).cache_key, "5c94d955b42b4e71");
   RequestSpec off;
   off.solver = false;
   off.stages = "EX";
-  EXPECT_EQ(plan_request(m, off).cache_key, "e81954fb55ff91c1");
+  EXPECT_EQ(plan_request(m, off).cache_key, "eb9e404c885349c0");
 }
 
 // ------------------------------------------------------------- journal
@@ -175,6 +177,43 @@ TEST(JournalCompat, RowWithLegacyProbeKeysReplaysWithOtherFieldsIntact) {
   EXPECT_EQ(r.test.rf_init, a.test.rf_init);
   // Re-encoding drops only the probe keys.
   EXPECT_EQ(journal_row_line(0, r), line);
+}
+
+TEST(JournalCompat, ProvenRedundantRowRoundTripsAndOldRowsReplayAsAborted) {
+  // The screen's row carries the field; every other row keeps its bytes,
+  // so the same row without it (as a journal written before the screen
+  // recorded it) replays as an aborted give-up.
+  ErrorAttempt red;
+  red.note = "proven redundant: unobservable line";
+  red.proven_redundant = true;
+  const std::string line = journal_row_line(3, red);
+  EXPECT_EQ(
+      line,
+      R"({"index":3,"generated":false,"sim_confirmed":false,"test_length":0,)"
+      R"("backtracks":0,"decisions":0,"implications":0,"learned":0,)"
+      R"("nogood_hits":0,"cache_hits":0,"seconds":0,"abort":"none",)"
+      R"("via_fallback":false,"note":"proven redundant: unobservable line",)"
+      R"("proven_redundant":true})");
+  ErrorAttempt gave_up;  // the row without the screen's verdict
+  gave_up.note = red.note;
+  std::string old_row = line;
+  old_row.erase(old_row.find(R"(,"proven_redundant":true)"));
+  old_row += "}";
+  EXPECT_EQ(journal_row_line(3, gave_up), old_row);
+
+  const std::string path =
+      testing::TempDir() + "hltg_redundant_journal.jsonl";
+  {
+    std::ofstream f(path, std::ios::trunc);
+    f << journal_header_line(5, 42) << "\n" << line << "\n";
+    f << R"({"index":4)" << old_row.substr(old_row.find(',')) << "\n";
+  }
+  const JournalReplay rep = load_journal(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(rep.rows.size(), 2u);
+  EXPECT_EQ(rep.rows.at(3).outcome(), AttemptOutcome::kProvenRedundant);
+  EXPECT_EQ(journal_row_line(3, rep.rows.at(3)), line);
+  EXPECT_EQ(rep.rows.at(4).outcome(), AttemptOutcome::kAborted);
 }
 
 // ----------------------------------------------------------------- CLI

@@ -621,5 +621,29 @@ TEST(BatchDetectWide, OutcomesIdenticalAcrossLaneWidths) {
   EXPECT_GT(s64.controller_passes, s256.controller_passes);
 }
 
+TEST(BatchDetectWide, BackendNamesTheWidestBatchKernel) {
+  // 300 errors at 256 lanes: a full 256-lane batch (four words), then a
+  // 44-lane rest (one word, the portable kernel). The stats name the
+  // kernel of the full batch, not of the last one.
+  std::vector<DesignError> errs = wrap(enumerate_bus_ssl(model().dp));
+  const std::vector<DesignError> mse = wrap(
+      enumerate_mse(model().dp, {Stage::kEX, Stage::kMEM, Stage::kWB}));
+  errs.insert(errs.end(), mse.begin(), mse.end());
+  ASSERT_GT(errs.size(), 300u);
+  errs.resize(300);
+  std::vector<const DesignError*> ptrs;
+  for (const DesignError& e : errs) ptrs.push_back(&e);
+  TestCase tc;
+  tc.imem = encode_program({Instr{Op::kAddi, 0, 0, 1, 3}});  // addi r1, r0, 3
+  BatchSimStats stats;
+  BatchDetectConfig cfg;
+  cfg.max_lanes = 256;
+  cfg.stats = &stats;
+  detect_errors(model(), tc, ptrs, cfg);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.widest_batch, 256u);
+  EXPECT_EQ(stats.backend, backend_for(4));
+}
+
 }  // namespace
 }  // namespace hltg

@@ -111,7 +111,12 @@ TEST(Report, MarkdownShape) {
   const std::string md = campaign_markdown(model().dp, res, "Spot check");
   EXPECT_NE(md.find("# Spot check"), std::string::npos);
   EXPECT_NE(md.find("| detected | 1 |"), std::string::npos);
-  EXPECT_NE(md.find("| aborted | 1 |"), std::string::npos);
+  // ex.slt32 bit 31 is constant 0: proven redundant, not aborted.
+  EXPECT_NE(md.find("| aborted | 0 |"), std::string::npos);
+  EXPECT_NE(md.find("| proven redundant | 1 |"), std::string::npos);
+  EXPECT_NE(campaign_csv(model().dp, res).find(
+                "ex.slt32[31] stuck-at-0 (EX),proven_redundant,none,"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -1,10 +1,18 @@
 // Tests of the constant-bit dataflow and redundant-error identification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
+#include <set>
+#include <string>
+
 #include "baseline/random_tg.h"
+#include "core/tg.h"
+#include "errors/parallel_campaign.h"
 #include "errors/redundancy.h"
 #include "netlist/builder.h"
 #include "sim/batch_sim.h"
+#include "sim/cosim.h"
 #include "util/rng.h"
 
 namespace hltg {
@@ -177,7 +185,7 @@ TEST(Observability, DeadConeUnobservable) {
 
 TEST(Observability, DlxLoadShifterUpperBitsUnobservable) {
   // mem.rshift only feeds byte/half slices: its bits [31:16] can never
-  // reach an observation point - the proof the Table-1 post-mortem uses.
+  // reach an observation point - the proof the generator's screen uses.
   const DlxModel m = build_dlx();
   const ObservableBits ob = analyze_observable_bits(m.dp);
   const NetId rshift = m.dp.find_net("mem.rshift");
@@ -207,44 +215,150 @@ TEST(Redundancy, DlxCampaignSubset) {
   EXPECT_LT(red.size(), all.size() / 4);
 }
 
+// ------------------------------ independent check of the generator screen
+//
+// TestGenerator::generate returns proven_redundant, without searching, for
+// every bus-SSL error both proofs accept. These tests check those claims
+// with nothing the proofs use: a seeded program suite graded by the batch
+// engine and by serial cosimulation, and the fault-free simulator's values.
+
+const DlxModel& dlx() {
+  static const DlxModel m = build_dlx();
+  return m;
+}
+
+/// The Table-1 SSL errors the screen reports proven_redundant.
+std::vector<DesignError> screened_errors() {
+  return wrap(redundant_subset(dlx().dp, enumerate_bus_ssl(dlx().dp)));
+}
+
+/// 72 seeded random_tg programs of lengths 6 to 48 (forward branches only)
+/// and the two control-flow templates.
+std::vector<TestCase> screen_suite() {
+  Rng rng(0x5c2ee7);
+  std::vector<TestCase> suite;
+  for (unsigned k = 0; k < 72; ++k) {
+    RandomTgConfig cfg;
+    cfg.program_length = 6 + k * 42 / 71;
+    suite.push_back(random_test(rng, cfg));
+  }
+  for (TestCase& tc : control_flow_templates()) suite.push_back(std::move(tc));
+  return suite;
+}
+
 TEST(Redundancy, ProvenRedundantErrorsEscapeRandomSuite) {
-  // Independent soundness check of both proofs: a seeded suite of random
-  // programs, batch-simulated against the whole Table-1 population, never
-  // detects an error the analyzers call provably undetectable - while it
-  // does detect plenty of the others, so the check is not vacuous.
-  const DlxModel m = build_dlx();
-  const auto all = enumerate_bus_ssl(m.dp);
-  const auto red = redundant_subset(m.dp, all);
-  ASSERT_FALSE(red.empty());
-  const std::vector<DesignError> errs = wrap(all);
+  // Independent soundness check of both proofs: the suite, batch-simulated
+  // against the whole Table-1 population, never detects an error the
+  // analyzers call provably undetectable - while it does detect plenty of
+  // the others, so the check is not vacuous.
+  const DlxModel& m = dlx();
+  const std::vector<DesignError> all = wrap(enumerate_bus_ssl(m.dp));
+  const BitConstants bc = analyze_bit_constants(m.dp);
+  const ObservableBits ob = analyze_observable_bits(m.dp);
   std::vector<const DesignError*> ptrs;
   std::vector<bool> proven;
-  for (std::size_t i = 0; i < errs.size(); ++i) {
-    ptrs.push_back(&errs[i]);
-    bool r = false;
-    for (const BusSslError& e : red)
-      r = r || (e.net == all[i].net && e.bit == all[i].bit &&
-                e.stuck_value == all[i].stuck_value);
-    proven.push_back(r);
+  for (const DesignError& e : all) {
+    ptrs.push_back(&e);
+    proven.push_back(is_redundant(bc, ob, std::get<BusSslError>(e.e)));
   }
-  Rng rng(0x5eed);
-  std::vector<bool> ever(errs.size(), false);
-  for (unsigned len : {8u, 16u, 32u})
-    for (int k = 0; k < 8; ++k) {
-      RandomTgConfig cfg;
-      cfg.program_length = len;
-      const TestCase tc = random_test(rng, cfg);
-      const std::vector<bool> hit = detect_errors(m, tc, ptrs);
-      for (std::size_t i = 0; i < hit.size(); ++i) {
-        EXPECT_FALSE(hit[i] && proven[i])
-            << errs[i].describe(m.dp) << " detected by a length-" << len
-            << " program";
-        ever[i] = ever[i] || hit[i];
-      }
+  EXPECT_EQ(std::count(proven.begin(), proven.end(), true), 13);
+
+  const std::vector<TestCase> suite = screen_suite();
+  std::vector<bool> ever(all.size(), false);
+  for (std::size_t t = 0; t < suite.size(); ++t) {
+    const std::vector<bool> hit = detect_errors(m, suite[t], ptrs);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      EXPECT_FALSE(hit[i] && proven[i])
+          << all[i].describe(m.dp) << " detected by suite test " << t;
+      ever[i] = ever[i] || hit[i];
     }
-  std::size_t detected = 0;
-  for (bool d : ever) detected += d;
-  EXPECT_GT(detected, errs.size() / 2);
+  }
+  // Serial cosimulation, the batch engine's reference: every proven error
+  // against both templates and four seeded random programs.
+  Rng pick(0x5e71a1);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (!proven[i]) continue;
+    std::vector<std::size_t> picks = {suite.size() - 2, suite.size() - 1};
+    for (int k = 0; k < 4; ++k) picks.push_back(pick.below(suite.size() - 2));
+    for (const std::size_t t : picks)
+      EXPECT_FALSE(detects(m, suite[t], all[i].injection()))
+          << all[i].describe(m.dp) << " detected serially by suite test "
+          << t;
+  }
+  // Not vacuous: the suite detects most of the other errors.
+  std::size_t others = 0;
+  for (std::size_t i = 0; i < all.size(); ++i) others += ever[i] && !proven[i];
+  EXPECT_GT(others, (all.size() - 13) / 2);
+}
+
+TEST(RedundancyScreen, ConstantLinesHoldTheirValueInEveryCycle) {
+  // A constant-line proof claims the fault-free machine never drives the
+  // line off its stuck value: check every settled cycle of the suite.
+  const DlxModel& m = dlx();
+  const BitConstants bc = analyze_bit_constants(m.dp);
+  std::vector<BusSslError> constant;
+  for (const DesignError& d : screened_errors())
+    if (is_redundant(bc, std::get<BusSslError>(d.e)))
+      constant.push_back(std::get<BusSslError>(d.e));
+  ASSERT_FALSE(constant.empty());
+  for (const TestCase& tc : screen_suite()) {
+    ProcSim sim(m, tc);
+    const unsigned cycles = drain_cycles(tc.imem.size());
+    for (unsigned c = 0; c < cycles; ++c) {
+      sim.begin_cycle();
+      for (const BusSslError& e : constant)
+        ASSERT_EQ(((sim.net_value(e.net) >> e.bit) & 1) != 0, e.stuck_value)
+            << DesignError{e}.describe(m.dp) << " in cycle " << c;
+      sim.end_cycle();
+    }
+  }
+}
+
+TEST(RedundancyScreen, ProvenRowsAreNeverDetectedNorOfferedToTheFallback) {
+  const DlxModel& m = dlx();
+  m.ctrl.warm_caches();
+  (void)m.dp.topo_order();
+  std::vector<DesignError> errors = screened_errors();
+  const std::size_t proven = errors.size();
+  // One detectable error, forced to the fallback, keeps that path live.
+  errors.push_back(
+      DesignError{BusSslError{m.dp.find_net("ex.alu_add"), 0, false}});
+  CampaignFaultPlan faults;
+  faults[proven].kind = CampaignFault::Kind::kBudgetExhaust;
+  const GenFactory factory = [&m](unsigned) {
+    auto tg = std::make_shared<TestGenerator>(m);
+    BudgetedGenFn s = tg->budgeted_strategy();
+    return [tg, s](const DesignError& e, Budget& b) { return s(e, b); };
+  };
+  const BudgetedGenFn random = random_budgeted_strategy(m);
+  for (const unsigned jobs : {1u, 2u}) {
+    std::mutex mu;
+    std::set<std::string> offered;  // guarded by mu
+    ParallelCampaignConfig cfg;
+    cfg.jobs = jobs;
+    cfg.faults = &faults;
+    cfg.fallback = [&](const DesignError& e, Budget& b) {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        offered.insert(e.describe(m.dp));
+      }
+      return random(e, b);
+    };
+    const CampaignResult res =
+        run_campaign_parallel(m.dp, errors, factory, cfg);
+    ASSERT_EQ(res.rows.size(), errors.size());
+    EXPECT_EQ(res.stats.proven_redundant, proven) << "jobs " << jobs;
+    for (std::size_t i = 0; i < proven; ++i) {
+      const ErrorAttempt& a = res.rows[i].attempt;
+      const std::string what = errors[i].describe(m.dp);
+      EXPECT_EQ(a.outcome(), AttemptOutcome::kProvenRedundant) << what;
+      EXPECT_FALSE(a.generated) << what;
+      EXPECT_EQ(a.abort, AbortReason::kNone) << what;
+      EXPECT_EQ(a.backtracks + a.decisions, 0u) << what;
+    }
+    EXPECT_EQ(offered, std::set<std::string>{errors[proven].describe(m.dp)})
+        << "jobs " << jobs;
+  }
 }
 
 }  // namespace

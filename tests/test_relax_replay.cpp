@@ -129,6 +129,33 @@ TEST(RelaxReplay, WarmStartAnswersRelaxFromTheImportedMemo) {
   EXPECT_GT(cold.relax_pair_captures, 0u);
 }
 
+TEST(RelaxReplay, ErrorScopeGeneratorLeavesTheMemoEmpty) {
+  // At error scope the context is cleared at every error and no plan is
+  // relaxed twice within one, so the memo could never hit: the generator
+  // neither looks it up nor stores into it. The same errors at campaign
+  // scope do, so the check is not vacuous.
+  const std::vector<DesignError> errors =
+      first8(wrap(enumerate_bus_ssl(model().dp)));
+  TestGenerator error_tg(model());
+  TgConfig campaign_cfg;
+  campaign_cfg.solver.scope = SolverScope::kCampaign;
+  TestGenerator campaign_tg(model(), campaign_cfg);
+  Effort error_scope, campaign_scope;
+  for (const DesignError& e : errors) {
+    const TgResult r = error_tg.generate(e);
+    EXPECT_EQ(error_tg.solver_context().relax.size(), 0u);
+    error_scope += r.stats;
+    const TgResult c = campaign_tg.generate(e);
+    EXPECT_EQ(c.status, r.status);
+    EXPECT_EQ(c.test.imem, r.test.imem);
+    campaign_scope += c.stats;
+  }
+  EXPECT_EQ(error_scope.relax_lookups, 0u);
+  EXPECT_GT(error_scope.relax_evals, 0u);
+  EXPECT_GT(campaign_scope.relax_lookups, 0u);
+  EXPECT_GT(campaign_tg.solver_context().relax.size(), 0u);
+}
+
 TEST(RelaxReplay, MemoEntriesIndependentOfPriorErrorEffortHistory) {
   // The ROADMAP carry-over this test closes out: the derived relax seed
   // once folded in `plans_tried`, so an error's relaxation sweep (and

@@ -117,12 +117,26 @@ TEST(Tg, BusOrderError) {
 
 TEST(Tg, RedundantErrorAborts) {
   // Bit 31 of a zero-extended 1-bit predicate is constant 0: stuck-at-0 is
-  // provably undetectable and TG must abort, not fabricate a test.
+  // provably undetectable and TG must fail, not fabricate a test. The
+  // screen says so before any search, under any budget.
   const DesignError e = ssl("ex.slt32", 31, false);
   const BitConstants bc = analyze_bit_constants(model().dp);
   EXPECT_TRUE(is_redundant(bc, std::get<BusSslError>(e.e)));
-  const TgResult r = tg().generate(e);
-  EXPECT_NE(r.status, TgStatus::kSuccess);
+  CancelToken stop;
+  stop.request_stop();
+  Budget spent;  // already fired: any search would unwind at once
+  spent.set_cancel(&stop);
+  for (Budget* b : {static_cast<Budget*>(nullptr), &spent}) {
+    const TgResult r = tg().generate(e, b);
+    EXPECT_NE(r.status, TgStatus::kSuccess);
+    EXPECT_TRUE(r.proven_redundant);
+    EXPECT_EQ(r.abort, AbortReason::kNone);
+    EXPECT_EQ(r.stats.plans_tried + r.stats.decisions, 0u);
+    EXPECT_EQ(r.note, "proven redundant: constant line, always 0");
+  }
+  // The other stuck value is detectable: no screen, a real test.
+  const TgResult d = tg().generate(ssl("ex.slt32", 31, true));
+  EXPECT_FALSE(d.proven_redundant);
 }
 
 TEST(Tg, GeneratedTestsAreShort) {
