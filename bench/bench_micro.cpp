@@ -2,8 +2,9 @@
 //
 // Throughput numbers for the substrates the CPU-time comparison rests on:
 // the cycle-accurate two-level simulator, 3-valued controller implication
-// over the unrolled window, whole-window capture against one event-driven
-// relaxation-window update, and one full TG run.
+// over the unrolled window, whole-window capture against the event-driven
+// relaxation window (one edit's update, and a reused window's first update
+// of a solve), and one full TG run.
 #include <benchmark/benchmark.h>
 
 #include "baseline/random_tg.h"
@@ -73,15 +74,19 @@ void BM_WindowCapture(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowCapture);
 
-void BM_RelaxWindowUpdate(benchmark::State& state) {
-  // One initial-register edit and its undo per iteration, as a DPRELAX
-  // backsolve makes them: each update re-evaluates only the register's
-  // reads and their forward cone in the 14-cycle window.
-  const TestCase tc = sample_test();
+RelaxVars vars_of(const TestCase& tc) {
   RelaxVars vars;
   vars.imem = tc.imem;
   vars.rf_init = tc.rf_init;
   vars.mem_init = tc.dmem_init;
+  return vars;
+}
+
+void BM_RelaxWindowUpdate(benchmark::State& state) {
+  // One initial-register edit and its undo per iteration, as a DPRELAX
+  // backsolve makes them: each update re-evaluates only the register's
+  // reads and their forward cone in the 14-cycle window.
+  RelaxVars vars = vars_of(sample_test());
   RelaxWindow win(model(), 14);
   win.update(vars);
   const std::uint32_t r1 = vars.rf_init[1];
@@ -95,6 +100,34 @@ void BM_RelaxWindowUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_RelaxWindowUpdate);
+
+void BM_RelaxWindowNextSolve(benchmark::State& state) {
+  // The first update of a solve on a window TG reuses: from the variables
+  // of one generated test to another's, as the good machine's window moves
+  // from one plan to the next. A fresh window would sweep all 14 cycles
+  // instead (BM_WindowCapture simulates the same span).
+  TestGenerator tg(model());
+  RelaxVars from, to;
+  for (auto [net, vars] : {std::pair{"ex.alu_add", &from},
+                           std::pair{"ex.alu_sub", &to}}) {
+    const TgResult r = tg.generate(
+        DesignError{BusSslError{model().dp.find_net(net), 3, true}});
+    if (r.status != TgStatus::kSuccess) {
+      state.SkipWithError("no test generated");
+      return;
+    }
+    *vars = vars_of(r.test);
+  }
+  RelaxWindow win(model(), 14);
+  win.update(from);
+  for (auto _ : state) {
+    win.update(to);
+    win.update(from);
+    benchmark::DoNotOptimize(win.net(13, model().sig.wb_value));
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_RelaxWindowNextSolve);
 
 void BM_CosimDetect(benchmark::State& state) {
   const TestCase tc = sample_test();

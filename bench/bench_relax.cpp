@@ -58,9 +58,10 @@ int main() {
       }
       DpRelaxConfig cfg;
       cfg.seed = 77 + trial;
-      DpRelax relax(m, 14, cfg);
+      RelaxWindow good(m, 14);
       RelaxVars vars;
-      const DpRelaxResult r = relax.solve(vars, cons, {});
+      const DpRelaxResult r =
+          DpRelax(m, cfg).solve(vars, cons, good, nullptr);
       if (r.status == TgStatus::kSuccess) {
         ++solved;
         iter_sum += r.iterations;
@@ -92,9 +93,10 @@ int main() {
       };
       DpRelaxConfig cfg;
       cfg.seed = 991 + trial;
-      DpRelax relax(m, 14, cfg);
+      RelaxWindow good(m, 14);
       RelaxVars vars;
-      const DpRelaxResult r = relax.solve(vars, cons, {});
+      const DpRelaxResult r =
+          DpRelax(m, cfg).solve(vars, cons, good, nullptr);
       if (r.status == TgStatus::kSuccess) {
         ++solved;
         iter_sum += r.iterations;
@@ -116,8 +118,8 @@ int main() {
     RelaxVars vars;
     vars.ensure_size(1);
     vars.imem_fixed[0] = 0xFFFFFFFFu;
-    DpRelax relax(m, 14);
-    const DpRelaxResult r = relax.solve(vars, cons, {});
+    RelaxWindow good(m, 14);
+    const DpRelaxResult r = DpRelax(m).solve(vars, cons, good, nullptr);
     t.add_row({"infeasible (R0 must be 5)", "1", "1",
                r.status == TgStatus::kSuccess ? "1 (BUG)" : "0",
                "-", std::to_string(r.iterations)});

@@ -23,7 +23,10 @@
 // counter under its kEffortFields key (util/effort.h) and the cache hit
 // rate. `relax_evals` counts the schedule steps DPRELAX's event-driven
 // windows evaluated in solves actually run (a memo replay charges none;
-// tools/check_bench.py guards it). Only the three campaign-scope
+// tools/check_bench.py guards it). Each generator keeps its windows
+// across solves, so a solve is charged only its diff from the previous
+// solve's variables; campaign_shard's four generators each start cold,
+// which is why it reads a little above engine_on. Only the three campaign-scope
 // configurations consult the DPRELAX memo: the generator memoizes only at
 // the scope that exports and imports stores, so `relax_lookups` reads 0
 // for engine_off, no_reuse and engine_on. `relax_pair_captures`, the iterations

@@ -1,13 +1,17 @@
 #include "core/dprelax.h"
 
-#include <optional>
-
 #include "util/word.h"
 
 namespace hltg {
 
-DpRelax::DpRelax(const DlxModel& m, unsigned window, DpRelaxConfig cfg)
-    : m_(m), T_(window), cfg_(cfg), rng_(cfg.seed) {}
+bool needs_erroneous_window(const std::vector<RelaxConstraint>& constraints) {
+  for (const RelaxConstraint& c : constraints)
+    if (c.kind == RelaxKind::kSiteDiffers) return true;
+  return false;
+}
+
+DpRelax::DpRelax(const DlxModel& m, DpRelaxConfig cfg)
+    : m_(m), cfg_(cfg), rng_(cfg.seed) {}
 
 bool DpRelax::violated(const RelaxConstraint& c, const RelaxWindow& good,
                        const RelaxWindow* err) const {
@@ -34,7 +38,7 @@ bool DpRelax::set_instr_word(RelaxVars& vars, const RelaxWindow& win,
       static_cast<std::uint32_t>(win.net(cycle, m_.sig.pc_q));
   if (pc % 4 != 0) return false;
   const std::size_t idx = pc / 4;
-  if (idx >= 4 * T_) return false;  // runaway PC: give up
+  if (idx >= 4 * win.cycles()) return false;  // runaway PC: give up
   vars.ensure_size(idx + 1);
   const std::uint32_t fixed = vars.imem_fixed[idx];
   const std::uint32_t want = static_cast<std::uint32_t>(need);
@@ -330,22 +334,16 @@ bool DpRelax::perturb_site(RelaxVars& vars, const RelaxWindow& win,
 
 DpRelaxResult DpRelax::solve(RelaxVars& vars,
                              const std::vector<RelaxConstraint>& constraints,
-                             const ErrorInjection& inj, Budget* budget) {
+                             RelaxWindow& good, RelaxWindow* err,
+                             Budget* budget) {
   DpRelaxResult res;
-  const bool needs_err = [&] {
-    for (const auto& c : constraints)
-      if (c.kind == RelaxKind::kSiteDiffers) return true;
-    return false;
-  }();
-
-  // One window per machine for the whole solve: each iteration's update
-  // re-evaluates only what the previous iteration's edit changed.
-  RelaxWindow good(m_, T_);
-  std::optional<RelaxWindow> err;
-  if (needs_err) err.emplace(m_, T_, inj);
+  // The windows may hold any earlier solve's variables; the solve is
+  // charged only the steps its own updates evaluate.
+  auto evals = [&] { return good.evals() + (err ? err->evals() : 0); };
+  const std::uint64_t evals_before = evals();
   auto done = [&](TgStatus status) {
     res.status = status;
-    res.evals = good.evals() + (err ? err->evals() : 0);
+    res.evals = evals() - evals_before;
     return res;
   };
 
@@ -369,7 +367,7 @@ DpRelaxResult DpRelax::solve(RelaxVars& vars,
     // constraint cannot starve the others).
     std::vector<const RelaxConstraint*> bad;
     for (const auto& c : constraints)
-      if (violated(c, good, err ? &*err : nullptr)) bad.push_back(&c);
+      if (violated(c, good, err)) bad.push_back(&c);
     if (bad.empty()) return done(TgStatus::kSuccess);
     const RelaxConstraint& c = *bad[iter % bad.size()];
     bool adjusted = false;

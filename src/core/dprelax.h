@@ -4,13 +4,16 @@
 // The free value variables are the paper's DPI set: instruction-word fields
 // (register specifiers, immediates - the opcode/function bits are already
 // fixed by CTRLJUST's CPI decisions), the initial register file, and the
-// initial data memory. A solve keeps one event-driven RelaxWindow per
-// machine (core/relax_window.h): the good machine, plus the erroneous one
-// when a kSiteDiffers constraint needs it. Each iteration:
-//   1. updates the windows with the current variables - the first sweeps
-//      them, later ones re-evaluate only what the previous edit changed;
-//      the values always equal a full simulation of the implementation,
-//      so semantics can never diverge,
+// initial data memory. A solve relaxes on event-driven RelaxWindows
+// (core/relax_window.h) its caller owns and may keep across solves (TG
+// does, core/tg.h): the good machine's, plus the erroneous one's when a
+// kSiteDiffers constraint needs it. Each iteration:
+//   1. updates the windows with the current variables, re-evaluating only
+//      what differs from their last update - the previous iteration's, or
+//      the previous solve's last; the values always equal a full
+//      simulation of the implementation whatever the windows held before,
+//      so semantics can never diverge and a solve reads the same values on
+//      reused windows as on fresh ones,
 //   2. finds a violated constraint, and
 //   3. backsolves it through the window's values - module-by-module inverse
 //      rules (add: a = y - b; mux: follow the selected input; register-file
@@ -45,23 +48,31 @@ struct DpRelaxResult {
   unsigned iterations = 0;
   /// Iterations that also updated the erroneous machine's window.
   unsigned pair_captures = 0;
-  /// Schedule steps the windows evaluated. The deduction store does not
-  /// carry it, and TG charges it only for solves it ran, never for a memo
-  /// replay.
+  /// Schedule steps the windows evaluated during this solve (the change in
+  /// their counters). The deduction store does not carry it, and TG
+  /// charges it only for solves it ran, never for a memo replay.
   std::uint64_t evals = 0;
   std::string note;
 };
 
+/// True when some constraint is kSiteDiffers: the solve then needs the
+/// erroneous machine's window.
+bool needs_erroneous_window(const std::vector<RelaxConstraint>& constraints);
+
 class DpRelax {
  public:
-  DpRelax(const DlxModel& m, unsigned window, DpRelaxConfig cfg = {});
+  explicit DpRelax(const DlxModel& m, DpRelaxConfig cfg = {});
 
   /// Iterate until every constraint holds in the good machine (and, for
   /// kSiteDiffers constraints, the erroneous machine diverges at the site).
-  /// `budget`, when given, is polled once per iteration.
+  /// `good` is the good machine's window and `err` the erroneous
+  /// machine's, of the same size (the test window); `err` is given exactly
+  /// when needs_erroneous_window(constraints). Either may hold any earlier
+  /// update. `budget`, when given, is polled once per iteration.
   DpRelaxResult solve(RelaxVars& vars,
                       const std::vector<RelaxConstraint>& constraints,
-                      const ErrorInjection& inj, Budget* budget = nullptr);
+                      RelaxWindow& good, RelaxWindow* err,
+                      Budget* budget = nullptr);
 
  private:
   bool violated(const RelaxConstraint& c, const RelaxWindow& good,
@@ -75,7 +86,6 @@ class DpRelax {
                       unsigned cycle, std::uint64_t need);
 
   const DlxModel& m_;
-  unsigned T_;
   DpRelaxConfig cfg_;
   mutable Rng rng_;
   unsigned next_reg_ = 0;  ///< rotating register allocator for retargeting

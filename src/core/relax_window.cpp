@@ -88,19 +88,23 @@ RelaxWindow::RelaxWindow(const DlxModel& m, unsigned cycles,
 }
 
 void RelaxWindow::update(const RelaxVars& vars) {
-  diff_inputs(vars);
-  if (!swept_) {
+  // The window counts as swept only once an update completes: one that
+  // unwound part-way (an exception) may have left values, queues and the
+  // recorded inputs out of step, so the next update sweeps.
+  const bool sweep_all = !swept_;
+  swept_ = false;
+  diff_inputs(vars, sweep_all);
+  if (sweep_all)
     sweep();
-    swept_ = true;
-  } else {
+  else
     for (unsigned t = 0; t < T_; ++t) run_cycle(t);
-  }
   edited_.clear();
   mem_dirty_.clear();
   rf_diff_ = rf_cand_ = 0;
+  swept_ = true;
 }
 
-void RelaxWindow::diff_inputs(const RelaxVars& vars) {
+void RelaxWindow::diff_inputs(const RelaxVars& vars, bool reload) {
   const std::size_t words = std::max(imem_.size(), vars.imem.size());
   for (std::size_t i = 0; i < words; ++i) {
     const std::uint32_t was = i < imem_.size() ? imem_[i] : 0;
@@ -115,7 +119,7 @@ void RelaxWindow::diff_inputs(const RelaxVars& vars) {
       rf_diff_ |= 1u << r;
     }
 
-  if (vars.mem_init == mem_init_in_) return;
+  if (!reload && vars.mem_init == mem_init_in_) return;
   mem_init_in_ = vars.mem_init;
   SparseMemory init;
   init.load(vars.mem_init);
@@ -128,6 +132,9 @@ void RelaxWindow::diff_inputs(const RelaxVars& vars) {
 }
 
 void RelaxWindow::sweep() {
+  std::fill(queue_.begin(), queue_.end(), 0);
+  std::fill(edges_.begin(), edges_.end(), 0);
+  std::fill(fetch_due_.begin(), fetch_due_.end(), 0);
   sweeping_ = true;
   for (unsigned t = 0; t < T_; ++t) {
     fetch(t);

@@ -4,10 +4,11 @@
 // A RelaxWindow holds every datapath net and controller gate value of one
 // machine - the good one, or one erroneous machine - at every cycle of the
 // window, for the free variables of its last update(). The first update()
-// sweeps the window in schedule order. Each later update() diffs the free
-// variables (instruction words, initial registers, initial memory words)
-// against the previous one and re-evaluates, cycle by cycle in schedule
-// rank, only
+// sweeps the window in schedule order, as does the next update() after one
+// that unwound by exception. Each later update() diffs the free variables
+// (instruction words, initial registers, initial memory words) against the
+// previous one, whatever program that was, and re-evaluates, cycle by
+// cycle in schedule rank, only
 //   - the fetches at PCs holding an edited word,
 //   - the register-file reads after a changed initial value or write,
 //   - the memory reads after a changed initial word or store,
@@ -26,6 +27,13 @@
 // fresh capture_window() (core/archstate.h) bit for bit, so the seeded
 // search that reads them takes the same path; tests/test_relax_window.cpp
 // checks that after every edit of seeded random edit sequences.
+//
+// The values depend on the last update's variables alone, never on the
+// updates before it, so a window may outlive any one DPRELAX solve (TG
+// keeps its windows across solves, core/tg.h): a solve's first update
+// re-evaluates only what differs from the previous solve's last. An update
+// evaluates each producing step at most once per cycle, so it never costs
+// more than the sweep it replaces.
 #pragma once
 
 #include <array>
@@ -90,7 +98,9 @@ class RelaxWindow {
   };
 
   void sweep();
-  void diff_inputs(const RelaxVars& vars);
+  /// Record `vars` and what moved since the last update; `reload` records
+  /// every input, for a sweep.
+  void diff_inputs(const RelaxVars& vars, bool reload);
   void run_cycle(unsigned t);
 
   /// Value `v` (net, or num_nets() + gate) as the step at `rank` reads it
@@ -140,7 +150,7 @@ class RelaxWindow {
   // The previous update's free variables.
   std::vector<std::uint32_t> imem_;
   std::map<std::uint32_t, std::uint32_t> mem_init_in_;
-  bool swept_ = false;
+  bool swept_ = false;  ///< the last update completed
 
   // Work of the running update.
   std::vector<std::uint64_t> queue_;  ///< [t * qwords_ + w], bit per rank

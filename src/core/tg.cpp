@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 
 #include "core/emit.h"
 #include "isa/asm.h"
@@ -204,6 +205,9 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
   CtrlJust& cj = ws.cj;
   cj.renew();
   if (cfg_.ctrljust.use_engine) cj.set_context(&solver_ctx_);
+  // The erroneous machine's DPRELAX window, built at the first solve that
+  // needs it and reused by this attempt's later plans.
+  std::optional<RelaxWindow> err_win;
 
   for (const PathPlan& plan : plans) {
     if (budget_fired()) return res;
@@ -288,8 +292,14 @@ TgResult TestGenerator::generate_with_window(const DesignError& err,
       }
     }
     if (!replayed) {
-      DpRelax relax(m_, window, rcfg);
-      rr = relax.solve(vars, cons, inj, budget);
+      RelaxWindow& good = relax_windows_.try_emplace(window, m_, window)
+                              .first->second;
+      RelaxWindow* bad = nullptr;
+      if (needs_erroneous_window(cons)) {
+        if (!err_win) err_win.emplace(m_, window, inj);
+        bad = &*err_win;
+      }
+      rr = DpRelax(m_, rcfg).solve(vars, cons, good, bad, budget);
       res.stats.relax_evals += rr.evals;
       if (memoize) solver_ctx_.relax.store(rkey, rr, vars);
     }

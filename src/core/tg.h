@@ -15,6 +15,7 @@
 // CONFLICT -> backtrack arrows of Fig. 3 (granularity note in DESIGN.md).
 #pragma once
 
+#include <map>
 #include <memory>
 
 #include "core/ctrljust.h"
@@ -144,6 +145,12 @@ class TestGenerator {
   /// window's state alive beside it raised peak memory.
   WindowSearch& window_search(unsigned window);
   std::unique_ptr<WindowSearch> search_;
+  /// DPRELAX's good-machine window of each window size (the base and the
+  /// retry window), kept for the generator's lifetime and handed to every
+  /// solve, whose first update then diffs against the previous solve's
+  /// variables instead of sweeping a fresh window. A window's values never
+  /// depend on that history (core/relax_window.h), so neither does a row.
+  std::map<unsigned, RelaxWindow> relax_windows_;
   /// Per-generator deduction state. With solver.scope == kError (default)
   /// it is reset at the start of every generate(): nogoods, cached
   /// justifications and relax memos are shared across the plans and windows

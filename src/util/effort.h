@@ -45,7 +45,10 @@ struct Effort {
   /// DPRELAX iterations that also updated the erroneous machine.
   std::uint64_t relax_pair_captures = 0;
   /// Schedule steps DPRELAX's windows evaluated (core/relax_window.h), in
-  /// solves actually run: a memo replay charges none.
+  /// solves actually run: a memo replay charges none. The generator reuses
+  /// its windows across solves, so a solve is charged the diff from the
+  /// previous solve's variables, and the count depends on which errors the
+  /// generator ran before (never more than with fresh windows).
   std::uint64_t relax_evals = 0;
 
   Effort& operator+=(const Effort& o);

@@ -31,8 +31,8 @@ RelaxConstraint eq(const char* net, unsigned cycle, std::uint64_t value,
 
 DpRelaxResult run(RelaxVars& vars, std::vector<RelaxConstraint> cons,
                   unsigned window = 12) {
-  DpRelax relax(model(), window);
-  return relax.solve(vars, cons, {});
+  RelaxWindow good(model(), window);
+  return DpRelax(model()).solve(vars, cons, good, nullptr);
 }
 
 TEST(DpRelax, SolvesRegisterFileValue) {
@@ -132,9 +132,10 @@ TEST(DpRelax, SiteDiffersWithInjection) {
   c.net = model().dp.find_net("ex.alu_sub");
   c.cycle = 2;
   RelaxVars vars;
-  DpRelax relax(model(), 8);
-  auto r = relax.solve(vars, {c}, inj);
+  RelaxWindow good(model(), 8), err(model(), 8, inj);
+  auto r = DpRelax(model()).solve(vars, {c}, good, &err);
   EXPECT_EQ(r.status, TgStatus::kSuccess);
+  EXPECT_EQ(r.pair_captures, r.iterations);
 }
 
 TEST(DpRelax, ImpossibleConstraintAborts) {
@@ -155,13 +156,14 @@ TEST(DpRelax, ImpossibleConstraintAborts) {
 TEST(DpRelax, IterationBudgetRespected) {
   DpRelaxConfig cfg;
   cfg.max_iterations = 3;
-  DpRelax relax(model(), 10, cfg);
+  DpRelax relax(model(), cfg);
+  RelaxWindow good(model(), 10);
   RelaxVars vars;
   std::vector<RelaxConstraint> cons = {eq("ex.a_byp", 2, 1),
                                        eq("ex.a_byp", 3, 2),
                                        eq("ex.a_byp", 4, 3),
                                        eq("ex.alu_add", 5, 4)};
-  auto r = relax.solve(vars, cons, {});
+  auto r = relax.solve(vars, cons, good, nullptr);
   if (r.status != TgStatus::kSuccess) {
     EXPECT_LE(r.iterations, 3u);
   }

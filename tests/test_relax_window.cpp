@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/archstate.h"
+#include "core/dprelax.h"
 #include "core/relax_window.h"
 #include "errors/boe.h"
 #include "errors/bse.h"
@@ -244,6 +246,179 @@ TEST(RelaxWindow, ErroneousMachineMatchesItsCapture) {
     }
     edit(rng, vars, history);
   }
+}
+
+/// One error of each model, and the BSE that wires mem.bem_b's mux to its
+/// own output, which reads its previous cycle's value.
+std::vector<DesignError> one_error_per_model() {
+  const DlxModel& m = model();
+  const std::vector<Stage> stages = {Stage::kEX, Stage::kMEM, Stage::kWB};
+  const NetId bem_b = m.dp.find_net("mem.bem_b");
+  EXPECT_NE(bem_b, kNoNet);
+  return {DesignError{BusSslError{m.dp.find_net("ex.alu_add"), 0, false}},
+          wrap(enumerate_mse(m.dp, stages)).front(),
+          wrap(enumerate_boe(m.dp, stages)).front(),
+          DesignError{enumerate_bse(m.dp).front()},
+          DesignError{BusSourceError{m.dp.net(bem_b).driver, 0, bem_b}}};
+}
+
+/// The variables consecutive DPRELAX solves of unrelated plans start from.
+/// Each differs from the one before in a way a reused window must diff:
+/// the program shrinks with the PC trajectory unchanged (words past the
+/// new end read 0), grows, an initial-memory word a load reads vanishes
+/// while the load stays put, initial registers change, and one solve
+/// starts from no program at all.
+std::vector<RelaxVars> solve_starts() {
+  RelaxVars a = program_vars(kPrograms[0]);
+  a.rf_init[1] = 5;
+  a.mem_init[0x48] = 0x1234;
+  RelaxVars b = program_vars(
+      "lw r2, 0x48(r0)\n"
+      "nop\n"
+      "add r3, r2, r2\n"
+      "sw 0x44(r0), r3\n");
+  b.mem_init[0x48] = 0x99;
+  b.mem_init[0x40] = 3;
+  RelaxVars b_vanished = b;
+  b_vanished.mem_init.erase(0x48);
+  b_vanished.rf_init[2] = 0x55;
+  RelaxVars c = program_vars(kPrograms[2]);
+  c.mem_init[0x48] = 0xFFFF;
+  c.rf_init[1] = 1;
+  return {a, b, b_vanished, program_vars(kPrograms[1]), RelaxVars{}, c, a};
+}
+
+/// A constraint on `net` at `cycle`; `net2` is a kGoodNetsDiffer's other net.
+RelaxConstraint constraint(RelaxKind kind, NetId net, unsigned cycle,
+                           std::uint64_t value = 0, NetId net2 = kNoNet) {
+  RelaxConstraint c;
+  c.kind = kind;
+  c.net = net;
+  c.cycle = cycle;
+  c.value = value;
+  c.net2 = net2;
+  c.why = model().dp.net(net).name;
+  return c;
+}
+
+/// Constraint systems of the kinds DPRELAX sees: on the good machine
+/// alone, or making the erroneous machine diverge at `err`'s site (with
+/// the sources of a BSE apart, as TG's activation asks).
+std::vector<std::vector<RelaxConstraint>> systems(const DesignError* err) {
+  const DlxModel& m = model();
+  auto net = [&](const char* name) { return m.dp.find_net(name); };
+  if (!err)
+    return {
+        {constraint(RelaxKind::kGoodEquals, net("ex.a_byp"), 2, 0xDEADBEEF)},
+        {constraint(RelaxKind::kGoodEquals, net("sts.fwda_mem"), 3, 1),
+         constraint(RelaxKind::kGoodEquals, net("ex.alu_add"), 4, 7)},
+        {constraint(RelaxKind::kGoodNetsDiffer, net("idex.a"), 3, 0,
+                    net("exmem.result"))},
+        {constraint(RelaxKind::kGoodEquals, net("memwb.value"), 5,
+                    0x0BADF00D)},
+    };
+  std::vector<RelaxConstraint> act;
+  if (const auto* bse = std::get_if<BusSourceError>(&err->e))
+    act.push_back(constraint(RelaxKind::kGoodNetsDiffer,
+                             m.dp.module(bse->module).data_in[bse->input],
+                             3, 0, bse->wrong_source));
+  std::vector<std::vector<RelaxConstraint>> out;
+  for (unsigned cycle : {2u, 3u, 4u}) {
+    out.push_back(act);
+    out.back().push_back(
+        constraint(RelaxKind::kSiteDiffers, err->site_net(m.dp), cycle));
+  }
+  return out;
+}
+
+TEST(RelaxWindow, ReusedAcrossSolvesMatchesFreshCapture) {
+  // TG keeps its windows across DPRELAX solves, so a solve's first update
+  // diffs against whatever unrelated program the previous solve left -
+  // or, after a solve its budget cut short, against variables the caller
+  // has since moved past. Every value must still equal a fresh capture,
+  // and a seeded solve must run on reused windows exactly as on fresh ones.
+  const DlxModel& m = model();
+  const std::vector<DesignError> errs = one_error_per_model();
+  std::vector<std::pair<std::string, ErrorInjection>> machines = {
+      {"good", {}}};
+  for (const DesignError& e : errs)
+    machines.emplace_back(e.describe(m.dp), e.injection());
+  const std::vector<RelaxVars> starts = solve_starts();
+
+  // The windows alone: each start, then a few in-solve edits.
+  std::uint64_t seed = 100;
+  for (unsigned window : {14u, 20u})
+    for (const auto& [name, inj] : machines) {
+      SCOPED_TRACE("window " + std::to_string(window) + ", " + name);
+      RelaxWindow win(m, window, inj);
+      for (std::size_t s = 0; s < starts.size(); ++s) {
+        RelaxVars vars = starts[s];
+        win.update(vars);
+        ASSERT_TRUE(matches_capture(win, vars, inj)) << "start " << s;
+        Rng rng(seed++);
+        std::vector<RelaxVars> history = {vars};
+        for (unsigned i = 0; i < 3; ++i) {
+          edit(rng, vars, history);
+          win.update(vars);
+          ASSERT_TRUE(matches_capture(win, vars, inj))
+              << "start " << s << ", edit " << i;
+        }
+      }
+    }
+
+  // Seeded solves: the good machine's window serves every solve, each
+  // erroneous machine's every solve of its error. Every fourth solve runs
+  // out of iterations, leaving its variables past its windows' last update.
+  RelaxWindow good(m, 14);
+  std::vector<RelaxWindow> err_wins;
+  for (const DesignError& e : errs) err_wins.emplace_back(m, 14, e.injection());
+  unsigned solves = 0, cut_short = 0, solved = 0;
+  for (std::size_t s = 0; s < starts.size(); ++s)
+    for (std::size_t e = 0; e <= errs.size(); ++e) {
+      const DesignError* err = e ? &errs[e - 1] : nullptr;
+      const auto sys = systems(err);
+      const std::vector<RelaxConstraint>& cons = sys[(s + e) % sys.size()];
+      SCOPED_TRACE("start " + std::to_string(s) + ", " +
+                   machines[e].first + ", " + cons.back().why);
+      DpRelaxConfig cfg;
+      cfg.seed = 1000 + solves;
+      if (++solves % 4 == 0) cfg.max_iterations = 2;
+      ASSERT_EQ(needs_erroneous_window(cons), err != nullptr);
+
+      RelaxVars fresh_vars = starts[s];
+      RelaxWindow fresh_good(m, 14);
+      std::optional<RelaxWindow> fresh_err;
+      if (err) fresh_err.emplace(m, 14, err->injection());
+      const DpRelaxResult a = DpRelax(m, cfg).solve(
+          fresh_vars, cons, fresh_good, fresh_err ? &*fresh_err : nullptr);
+
+      RelaxVars vars = starts[s];
+      RelaxWindow* err_win = err ? &err_wins[e - 1] : nullptr;
+      const DpRelaxResult b =
+          DpRelax(m, cfg).solve(vars, cons, good, err_win);
+      EXPECT_EQ(a.status, b.status);
+      EXPECT_EQ(a.note, b.note);
+      EXPECT_EQ(a.iterations, b.iterations);
+      EXPECT_EQ(a.pair_captures, b.pair_captures);
+      EXPECT_EQ(fresh_vars.imem, vars.imem);
+      EXPECT_EQ(fresh_vars.imem_fixed, vars.imem_fixed);
+      EXPECT_EQ(fresh_vars.rf_init, vars.rf_init);
+      EXPECT_EQ(fresh_vars.mem_init, vars.mem_init);
+      // A diff never evaluates more than the sweep it replaces.
+      EXPECT_LE(b.evals, a.evals);
+      cut_short += b.note == "iteration budget exhausted";
+      if (b.status == TgStatus::kSuccess) {
+        ++solved;
+        // A success returns right after updating on the final variables.
+        ASSERT_TRUE(matches_capture(good, vars, {}));
+        if (err_win) {
+          ASSERT_TRUE(matches_capture(*err_win, vars, err->injection()));
+        }
+      }
+    }
+  // Neither half may be vacuous.
+  EXPECT_GT(cut_short, 0u);
+  EXPECT_GT(solved, 0u);
 }
 
 TEST(RelaxWindow, ReaderTablesFirstUseFromTwoThreadsIsRaceFree) {

@@ -37,7 +37,10 @@ import sys
 
 # Lower is better; a rise beyond tolerance is a hot-path regression.
 # relax_evals counts the schedule steps DPRELAX's event-driven windows
-# evaluate: a fall-back to whole-window sweeps multiplies it on any host.
+# evaluate. The generator keeps its windows across solves, so each solve
+# diffs against the previous one's variables: a fall-back to a fresh
+# window's whole-window sweep per solve multiplies it about tenfold on any
+# host.
 TG_GUARDED_COUNTERS = ("decisions", "backtracks", "dptrace_expansions",
                        "nogood_comparisons", "relax_evals")
 TG_CONFIGS = ("engine_off", "no_reuse", "engine_on", "campaign_scope",
