@@ -11,10 +11,10 @@
 //   warm_start     campaign scope warm-started from the deduction snapshot
 //                  the campaign_scope pass exported (the persisted-store
 //                  path of docs/ROBUSTNESS.md, minus the file I/O)
-//   campaign_shard campaign scope split over 4 round-robin shards with a
-//                  shared NogoodBoard, interleaved deterministically on one
-//                  thread - the per-worker deduction state of a --jobs 4
-//                  sharded campaign without scheduler noise
+//   campaign_shard campaign scope split over 4 round-robin shards, each
+//                  with its own generator, interleaved on one thread - the
+//                  per-worker deduction state of a --jobs 4 sharded
+//                  campaign without scheduler noise
 //
 //   $ ./bench_solver [--quick] [--out BENCH_tg.json]
 //
@@ -53,7 +53,6 @@
 #include "core/tg.h"
 #include "isa/testcase_io.h"
 #include "sim/cosim.h"
-#include "solver/nogood_board.h"
 #include "solver/store.h"
 
 using namespace hltg;
@@ -111,15 +110,12 @@ RunStats run(const DlxModel& m, const std::vector<DesignError>& errors,
   return out;
 }
 
-/// `lanes` campaign-scope generators sharing one NogoodBoard, error i on
-/// lane i % lanes - a sharded multi-worker campaign interleaved
-/// deterministically on one thread. The board sync runs inside generate(),
-/// exactly as in the parallel engine.
+/// `lanes` independent campaign-scope generators, error i on lane
+/// i % lanes - the shards of a multi-worker campaign, interleaved on one
+/// thread.
 RunStats run_sharded(const DlxModel& m, const std::vector<DesignError>& errors,
                      TgConfig cfg, unsigned lanes) {
-  NogoodBoard board;
   cfg.solver.scope = SolverScope::kCampaign;
-  cfg.solver.shared_board = &board;
   std::vector<std::unique_ptr<TestGenerator>> gens;
   for (unsigned i = 0; i < lanes; ++i)
     gens.push_back(std::make_unique<TestGenerator>(m, cfg));

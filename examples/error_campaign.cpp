@@ -1,17 +1,6 @@
 // Error campaign: run the generator over a configurable error population
 // and print the Table-1 style summary plus per-error outcomes.
-//
-//   $ ./error_campaign [--stages EX,MEM,WB] [--model ssl|mse|boe|bse] [-v]
-//                      [--csv out.csv] [--save-tests dir]
-//                      [--deadline-ms N] [--max-backtracks N]
-//                      [--max-decisions N] [--fallback [tries]]
-//                      [--journal file.jsonl] [--resume | --resume=strict]
-//                      [--jobs N] [--drop] [--solver on|off]
-//                      [--solver-scope error|campaign] [--store file.ded]
-//                      [--failpoints SPEC]
-//                      [--verify-witness] [--minimize] [--quarantine-dir D]
-//   $ ./error_campaign [--stages ...] [--model ...] --replay test.txt
-//                      --replay-error N --expect detected|undetected
+// `error_campaign --help` prints the flag synopsis (kUsage below).
 //
 // The campaign flags (--model, --stages, the budget caps, --fallback,
 // --solver, --solver-scope, --drop, --jobs) go through the parser
@@ -53,11 +42,10 @@
 // resetting them per error (docs/SOLVER.md has the determinism argument:
 // outcomes, witnesses and emitted tests stay identical to error scope;
 // effort counters drop - that is the reuse). With --jobs > 1 the engine
-// shards errors round-robin per worker and the workers exchange learned
-// netlist-level nogoods through a shared board between errors. Outcomes,
-// witnesses and emitted tests stay the same for any N; the effort counters
-// and a --store file do not repeat run over run, because what a worker
-// imports depends on when the others publish.
+// shards errors round-robin per worker and each worker keeps its own
+// deduction state. Outcomes, witnesses and emitted tests stay the same for
+// any N; the effort counters and a --store file depend on N, because N
+// decides which errors each worker has seen, but repeat run over run.
 //
 // --store FILE persists the campaign-scope deduction state across process
 // lifetimes (docs/ROBUSTNESS.md "Persisted deduction store"): loaded -
@@ -88,6 +76,20 @@
 using namespace hltg;
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: error_campaign [--stages EX,MEM,WB] [--model ssl|mse|boe|bse]\n"
+    "                      [-v] [--csv out.csv] [--save-tests dir]\n"
+    "                      [--deadline-ms N] [--max-backtracks N]\n"
+    "                      [--max-decisions N] [--fallback [tries]]\n"
+    "                      [--journal file.jsonl] [--jobs N] [--drop]\n"
+    "                      [--resume | --resume=strict] [--solver on|off]\n"
+    "                      [--solver-scope error|campaign] [--store file.ded]\n"
+    "                      [--failpoints SPEC] [--verify-witness]\n"
+    "                      [--minimize] [--quarantine-dir D]\n"
+    "       error_campaign [--stages ...] [--model ...] --replay test.txt\n"
+    "                      --replay-error N --expect detected|undetected\n"
+    "       error_campaign -h | --help\n";
 
 CancelToken g_cancel;
 extern "C" void on_sigint(int) { g_cancel.request_stop(); }
@@ -183,7 +185,10 @@ int main(int argc, char** argv) {
       expect = argv[++i];
     else if (!std::strcmp(argv[i], "-v"))
       ccfg.verbose = true;
-    else {
+    else if (!std::strcmp(argv[i], "-h") || !std::strcmp(argv[i], "--help")) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    } else {
       std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
       return 1;
     }

@@ -93,18 +93,12 @@ TgResult TestGenerator::generate(const DesignError& err, Budget* budget) {
       return res;
     }
   }
-  // With the engine off nothing reads or fills the deduction context.
-  if (cfg_.ctrljust.use_engine) {
-    // Error scope: fresh deduction state per error, so reuse spans this
-    // error's plans and windows only. Campaign scope keeps the context for
-    // the generator's lifetime (see solver_ctx_ comment in tg.h).
-    if (cfg_.solver.scope == SolverScope::kError) solver_ctx_.reset();
-    // Campaign scope under --jobs > 1: trade nogoods with the other
-    // workers through the shared board. Strictly between errors - the
-    // search hot path below only ever touches the worker-private context.
-    if (cfg_.solver.scope == SolverScope::kCampaign)
-      solver_ctx_.sync_shared_nogoods();
-  }
+  // Error scope: fresh deduction state per error, so reuse spans this
+  // error's plans and windows only. Campaign scope keeps the context for
+  // the generator's lifetime (see solver_ctx_ comment in tg.h). With the
+  // engine off nothing reads or fills the context.
+  if (cfg_.ctrljust.use_engine && cfg_.solver.scope == SolverScope::kError)
+    solver_ctx_.reset();
   TgResult first = generate_with_window(err, cfg_.window, budget);
   if (first.status == TgStatus::kSuccess || cfg_.retry_window <= cfg_.window)
     return first;

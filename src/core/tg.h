@@ -156,8 +156,9 @@ class TestGenerator {
   /// justifications and relax memos are shared across the plans and windows
   /// of ONE error, never across errors - campaign rows stay byte-identical
   /// however errors are distributed over --jobs workers. With kCampaign the
-  /// context lives for the generator's lifetime (single-worker runs only;
-  /// outcome-neutrality argument in solver/solver.h and docs/SOLVER.md).
+  /// context lives for the generator's lifetime: one worker's shard of
+  /// errors (outcome-neutrality argument in solver/solver.h and
+  /// docs/SOLVER.md).
   SolverContext solver_ctx_;
 };
 

@@ -71,9 +71,10 @@ CampaignResult run_campaign_parallel(const Netlist& nl,
   // Deterministic sharding: worker w owns the pending positions p with
   // p % jobs == w, walked in ascending order. Unlike work stealing, the
   // error sequence each worker sees is a pure function of (campaign,
-  // jobs); without cross-worker nogood exchange, so is its campaign-scope
-  // deduction state. Aggregation below stays index-ordered, so rows and
-  // stats remain jobs-independent.
+  // jobs), and so is its campaign-scope deduction state. Aggregation below
+  // stays index-ordered, so rows and stats repeat for a given jobs value;
+  // they are jobs-independent whenever the generator keeps no state across
+  // errors (error scope).
   std::mutex journal_mu;
   std::mutex note_mu;
   // Orphan adoption: when a worker's generator factory fails, its shard

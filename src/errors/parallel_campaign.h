@@ -14,11 +14,11 @@
 // order, so each worker's error sequence is a pure function of (campaign,
 // jobs). Each attempt remains a pure function of (error, per-error budget,
 // per-worker generator); generators are constructed per worker from a
-// factory. What a campaign-scope worker learns is reproducible only
-// without cross-worker exchange: with a NogoodBoard (campaign scope at
-// jobs > 1) a worker imports whatever the others published so far, so
-// effort counters and the persisted deduction store vary run over run,
-// while outcomes, witnesses and emitted tests do not.
+// factory and share nothing. A generator that carries state across errors
+// (campaign solver scope) therefore learns a pure function of its shard:
+// its rows' effort counters and its exported deduction state repeat run
+// over run for a given (population, jobs), and may differ between jobs
+// values, while outcomes, witnesses and emitted tests never do.
 // If a worker's factory throws, its shard is not lost: once every factory
 // outcome is known, surviving workers adopt orphaned shards whole (each
 // adopted by exactly one survivor). Outcomes stay identical on that path;

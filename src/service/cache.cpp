@@ -11,7 +11,7 @@
 #include <fstream>
 #include <vector>
 
-#include "solver/store.h"
+#include "util/bytes.h"
 #include "util/failpoint.h"
 
 namespace hltg {
@@ -24,26 +24,6 @@ namespace {
 constexpr std::uint32_t kMagic = 0x53455248;  // "HRES" on disk (LE)
 constexpr std::size_t kEntryHeaderBytes = 12;
 constexpr const char* kIndexName = "cache.index";
-
-void put_u32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-  return v;
-}
-
-bool valid_key(const std::string& key) {
-  // Keys are the hex content addresses plan_request derives; anything else
-  // (path separators in particular) never touches the filesystem.
-  if (key.empty() || key.size() > 64) return false;
-  for (const char c : key)
-    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-  return true;
-}
 
 bool ends_with(const std::string& s, const char* suffix) {
   const std::size_t n = std::strlen(suffix);
@@ -80,7 +60,7 @@ bool ResultCache::lookup(const std::string& key, std::string* payload) {
     ++stats_.memory_hits;
     return true;
   }
-  if (!cfg_.dir.empty() && valid_key(key) &&
+  if (!cfg_.dir.empty() && is_hex_key(key) &&
       load_from_disk_locked(key, payload)) {
     touch_locked(key, *payload);
     promote_disk_locked(key);
@@ -98,7 +78,7 @@ bool ResultCache::insert(const std::string& key, const std::string& payload,
   touch_locked(key, payload);
   ++stats_.insertions;
   if (cfg_.dir.empty()) return true;
-  if (!valid_key(key)) {
+  if (!is_hex_key(key)) {
     if (why) *why = "refusing to persist non-hex cache key '" + key + "'";
     ++stats_.persist_failures;
     return false;
@@ -155,7 +135,7 @@ void ResultCache::scan_disk_locked() {
     }
     if (!ends_with(name, ".res")) continue;
     const std::string key = name.substr(0, name.size() - 4);
-    if (!valid_key(key)) continue;
+    if (!is_hex_key(key)) continue;
     std::error_code sec;
     const std::uintmax_t sz = std::filesystem::file_size(entry.path(), sec);
     if (sec) continue;
@@ -168,7 +148,7 @@ void ResultCache::scan_disk_locked() {
     std::ifstream in(cfg_.dir + "/" + kIndexName);
     std::string line;
     while (std::getline(in, line))
-      if (valid_key(line)) order.push_back(line);
+      if (is_hex_key(line)) order.push_back(line);
   }
   auto size_of = [&](const std::string& key) -> const std::size_t* {
     for (const auto& [k, sz] : on_disk)
@@ -287,12 +267,12 @@ bool ResultCache::load_from_disk_locked(const std::string& key,
 
   if (!read_ok || bytes.size() < kEntryHeaderBytes) return quarantine();
   const unsigned char* p = reinterpret_cast<const unsigned char*>(bytes.data());
-  if (get_u32(p) != kMagic) return quarantine();
-  const std::uint32_t len = get_u32(p + 4);
-  const std::uint32_t crc = get_u32(p + 8);
+  if (get_le32(p) != kMagic) return quarantine();
+  const std::uint32_t len = get_le32(p + 4);
+  const std::uint32_t crc = get_le32(p + 8);
   if (bytes.size() != kEntryHeaderBytes + static_cast<std::size_t>(len))
     return quarantine();
-  if (ded_crc32(bytes.data() + kEntryHeaderBytes, len) != crc)
+  if (crc32_ieee(bytes.data() + kEntryHeaderBytes, len) != crc)
     return quarantine();
   payload->assign(bytes, kEntryHeaderBytes, len);
   return true;
@@ -322,9 +302,9 @@ bool ResultCache::persist_locked(const std::string& key,
   };
   std::string framed;
   framed.reserve(kEntryHeaderBytes + payload.size());
-  put_u32(&framed, kMagic);
-  put_u32(&framed, static_cast<std::uint32_t>(payload.size()));
-  put_u32(&framed, ded_crc32(payload.data(), payload.size()));
+  put_le32(&framed, kMagic);
+  put_le32(&framed, static_cast<std::uint32_t>(payload.size()));
+  put_le32(&framed, crc32_ieee(payload.data(), payload.size()));
   framed += payload;
   if (failpoint::checked_fwrite(framed.data(), framed.size(), f,
                                 "cache.write") != framed.size())

@@ -200,6 +200,9 @@ RequestPlan plan_request(const DlxModel& m, const RequestSpec& spec) {
   f.u64(plan.config_hash);
   f.u64(campaign_fingerprint(m.dp, plan.errors));
   f.u64(plan.tgcfg.solver.scope == SolverScope::kCampaign ? 1u : 0u);
+  // A campaign-scope worker's context spans its shard, so the shard count
+  // shapes the rows' effort counters. Error-scope keys leave it out.
+  if (plan.tgcfg.solver.scope == SolverScope::kCampaign) f.u64(plan.jobs);
   f.u64(plan.drop ? 1u : 0u);
   std::uint64_t deadline_bits = 0;
   static_assert(sizeof deadline_bits == sizeof spec.deadline_ms);

@@ -9,17 +9,20 @@
 //                 per-error budget caps, fallback, dropping. They feed the
 //                 content-addressed cache key.
 //   non-semantic  change only how (or how chattily) it is computed: jobs
-//                 (the engine's determinism contract makes results
-//                 byte-identical for any worker count), verbose,
-//                 subscribe, tag. They are EXCLUDED from the key, so e.g.
-//                 a --jobs 8 submission hits the cache entry a --jobs 1
-//                 run filled.
+//                 at error scope (the engine's determinism contract makes
+//                 those results byte-identical for any worker count),
+//                 verbose, subscribe, tag. They are EXCLUDED from the key,
+//                 so e.g. an error-scope --jobs 8 submission hits the cache
+//                 entry a --jobs 1 run filled.
 //
 // The key mixes tg_design_hash (the daemon's design), tg_config_hash (the
 // generator configuration), campaign_fingerprint (the exact error
 // population) and the campaign-level semantic fields tg_config_hash does
-// not cover (scope, budgets, fallback, dropping). Two requests share a key
-// iff an offline error_campaign run would produce identical result rows.
+// not cover (scope, budgets, fallback, dropping, and jobs at campaign
+// scope, where each worker's deduction state spans its shard of errors and
+// so the rows' effort counters depend on the worker count). Two requests
+// share a key iff an offline error_campaign run would produce identical
+// result rows.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +53,9 @@ struct RequestSpec {
   bool drop = false;                  ///< batched error dropping
 
   // -- non-semantic: excluded from the key --------------------------------
-  unsigned jobs = 1;  ///< worker threads (results identical for any N)
+  /// Worker threads: results identical for any N at error scope; part of
+  /// the key at campaign scope.
+  unsigned jobs = 1;
   bool subscribe = false;  ///< stream per-error progress rows
   std::string tag;         ///< free-form client label (logging only)
 };

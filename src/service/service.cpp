@@ -12,7 +12,6 @@
 #include "errors/parallel_campaign.h"
 #include "errors/report.h"
 #include "sim/batch_sim.h"
-#include "solver/nogood_board.h"
 #include "solver/store.h"
 #include "util/fnv.h"
 #include "util/minijson.h"
@@ -91,14 +90,6 @@ CampaignResult run_campaign_plan(const DlxModel& m, const RequestPlan& plan,
   cfg.design_hash = plan.design_hash;
   cfg.solver_config_hash = plan.config_hash;
 
-  // Cross-worker nogood exchange for the sharded campaign scope: workers
-  // publish learned netlist-level cuts between errors and import the
-  // others' via epoch-published read-only snapshots.
-  TgConfig tgcfg = plan.tgcfg;
-  NogoodBoard board;
-  if (plan.jobs > 1 && tgcfg.solver.scope == SolverScope::kCampaign)
-    tgcfg.solver.shared_board = &board;
-
   // Workers share the model read-only: materialise its lazy caches before
   // handing out const refs.
   m.ctrl.warm_caches();
@@ -108,7 +99,7 @@ CampaignResult run_campaign_plan(const DlxModel& m, const RequestPlan& plan,
   // be exported. Each worker writes only its own slot.
   std::vector<std::unique_ptr<TestGenerator>> gens(std::max(plan.jobs, 1u));
   const GenFactory make_gen = [&](unsigned w) {
-    gens[w] = std::make_unique<TestGenerator>(m, tgcfg);
+    gens[w] = std::make_unique<TestGenerator>(m, plan.tgcfg);
     if (warm) import_context(*warm, &gens[w]->solver_context());
     return gens[w]->budgeted_strategy();
   };
@@ -144,14 +135,17 @@ CampaignService::~CampaignService() { drain(); }
 
 SubmitResult CampaignService::submit(const RequestSpec& spec, DoneFn done) {
   SubmitResult out;
-  RequestPlan plan = plan_request(model_, spec);
+  // Clamp before planning: at campaign scope the worker count is part of
+  // the key, which must name the count that actually runs.
+  RequestSpec clamped = spec;
+  clamped.jobs = std::min(spec.jobs, cfg_.jobs_cap);
+  RequestPlan plan = plan_request(model_, clamped);
   if (!plan.ok()) {
     std::lock_guard<std::mutex> lk(mu_);
     ++stats_.rejected_invalid;
     out.error = plan.error;
     return out;
   }
-  if (plan.jobs > cfg_.jobs_cap) plan.jobs = cfg_.jobs_cap;
   out.key = plan.cache_key;
 
   // Poisoned keys are terminal before anything else: the circuit breaker
@@ -236,7 +230,7 @@ SubmitResult CampaignService::submit(const RequestSpec& spec, DoneFn done) {
 
   auto fl = std::make_shared<Flight>();
   fl->id = id;
-  fl->spec = spec;
+  fl->spec = clamped;
   fl->plan = std::move(plan);
   if (!cfg_.spool_dir.empty())
     fl->journal_path =

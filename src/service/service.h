@@ -79,8 +79,8 @@ using CampaignRunner =
 
 struct ServiceConfig {
   unsigned executors = 2;  ///< concurrent campaigns (each may use `jobs`)
-  /// Clamp on a request's own worker count (the engine's determinism
-  /// contract makes any clamp result-invariant).
+  /// Clamp on a request's own worker count, applied before the cache key
+  /// is derived (campaign-scope rows depend on the count that runs).
   unsigned jobs_cap = 8;
   std::size_t queue_capacity = 16;  ///< admission bound (excludes running)
   std::string cache_dir;            ///< result-cache persistence ("" = off)
@@ -152,8 +152,7 @@ struct SubmitResult {
 /// into a campaign, for the daemon and the error_campaign CLI alike. It
 /// picks the engine (the sharded engine at plan.jobs workers, or the
 /// dropping loop) and takes every semantic setting from the plan: budget
-/// caps, fallback generator and budget, provenance stamps, lane width, and
-/// the cross-worker NogoodBoard at campaign scope with jobs > 1. `ccfg`
+/// caps, fallback generator and budget, and provenance stamps. `ccfg`
 /// says only how the run is watched and stopped - journal, resume, cancel
 /// tokens (including budget.cancel), triage, verbose, fault hooks; its
 /// other fields are ignored. `warm`, when given, is imported into every

@@ -13,7 +13,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "solver/store.h"
+#include "util/bytes.h"
 #include "util/failpoint.h"
 #include "util/minijson.h"
 
@@ -26,17 +26,6 @@ namespace {
 constexpr std::uint32_t kPipeMarker = 0x43455257;  // "WREC" on the wire (LE)
 constexpr std::size_t kPipeHeaderBytes = 16;
 
-void put_u32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-  return v;
-}
-
 /// Parse every complete, CRC-valid record out of `buf`. A framing or CRC
 /// mismatch abandons the rest of the buffer: a pipe delivers bytes in
 /// order, so damage means the worker died mid-write and nothing after the
@@ -45,14 +34,14 @@ void parse_records(const std::string& buf, WorkerExit* out) {
   const unsigned char* p = reinterpret_cast<const unsigned char*>(buf.data());
   std::size_t pos = 0;
   while (buf.size() - pos >= kPipeHeaderBytes) {
-    const std::uint32_t marker = get_u32(p + pos);
-    const std::uint32_t kind = get_u32(p + pos + 4);
-    const std::uint32_t len = get_u32(p + pos + 8);
-    const std::uint32_t crc = get_u32(p + pos + 12);
+    const std::uint32_t marker = get_le32(p + pos);
+    const std::uint32_t kind = get_le32(p + pos + 4);
+    const std::uint32_t len = get_le32(p + pos + 8);
+    const std::uint32_t crc = get_le32(p + pos + 12);
     if (marker != kPipeMarker) return;
     if (buf.size() - pos - kPipeHeaderBytes < len) return;  // torn tail
     const char* payload = buf.data() + pos + kPipeHeaderBytes;
-    if (ded_crc32(payload, len) != crc) return;
+    if (crc32_ieee(payload, len) != crc) return;
     if (kind == kWorkerRecSummary)
       out->summary_json.assign(payload, len);
     else if (kind == kWorkerRecCsv)
@@ -62,13 +51,6 @@ void parse_records(const std::string& buf, WorkerExit* out) {
     // Unknown kinds are skipped so the wire format can grow.
     pos += kPipeHeaderBytes + len;
   }
-}
-
-bool valid_bundle_key(const std::string& key) {
-  if (key.empty() || key.size() > 64) return false;
-  for (const char c : key)
-    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-  return true;
 }
 
 std::string poison_message(unsigned crashes, const std::string& what) {
@@ -93,10 +75,10 @@ bool write_worker_record(int fd, std::uint32_t kind,
                          const std::string& payload) {
   std::string framed;
   framed.reserve(kPipeHeaderBytes + payload.size());
-  put_u32(&framed, kPipeMarker);
-  put_u32(&framed, kind);
-  put_u32(&framed, static_cast<std::uint32_t>(payload.size()));
-  put_u32(&framed, ded_crc32(payload.data(), payload.size()));
+  put_le32(&framed, kPipeMarker);
+  put_le32(&framed, kind);
+  put_le32(&framed, static_cast<std::uint32_t>(payload.size()));
+  put_le32(&framed, crc32_ieee(payload.data(), payload.size()));
   framed += payload;
   std::size_t off = 0;
   while (off < framed.size()) {
@@ -258,7 +240,7 @@ CrashBreaker::CrashBreaker(unsigned max_crashes, std::string quarantine_dir)
     const MiniJson j(line);
     std::string key, what;
     std::uint64_t crashes = 0;
-    if (!j.ok() || !j.get_string("key", &key) || !valid_bundle_key(key))
+    if (!j.ok() || !j.get_string("key", &key) || !is_hex_key(key))
       continue;
     j.get_string("last", &what);
     j.get_u64("crashes", &crashes);
@@ -295,7 +277,7 @@ void CrashBreaker::poison_locked(const std::string& key, unsigned crashes,
                                  const std::string& what,
                                  const std::string& request_json) {
   poisoned_[key] = poison_message(crashes, what);
-  if (dir_.empty() || !valid_bundle_key(key)) return;
+  if (dir_.empty() || !is_hex_key(key)) return;
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   // Bundle writes are best-effort (the in-memory quarantine already

@@ -12,7 +12,6 @@ bool NogoodStore::learn(std::vector<Lit> lits) {
       e.stamp = ++clock_;
       return false;
     }
-  if (recording_) recorded_.push_back(lits);
   if (entries_.size() >= capacity_) {
     auto victim = std::min_element(
         entries_.begin(), entries_.end(),

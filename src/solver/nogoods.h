@@ -55,15 +55,6 @@ class NogoodStore {
   /// Slot filled by the most recent successful learn().
   std::size_t last_index() const { return last_index_; }
 
-  /// When recording is on, every cut newly accepted by learn() is copied
-  /// aside for drain_recorded() - the feed a campaign worker publishes to
-  /// the shared NogoodBoard between errors. Off (the default) it costs
-  /// nothing.
-  void set_recording(bool on) { recording_ = on; }
-  std::vector<std::vector<Lit>> drain_recorded() {
-    return std::move(recorded_);
-  }
-
   /// Resident cuts in slot order, for persistence (src/solver/store.h).
   std::vector<std::vector<Lit>> export_cuts() const {
     std::vector<std::vector<Lit>> out;
@@ -74,7 +65,6 @@ class NogoodStore {
 
   void clear() {
     entries_.clear();
-    recorded_.clear();
     learned_ = 0;
     clock_ = 0;
     last_index_ = 0;
@@ -91,8 +81,6 @@ class NogoodStore {
   std::size_t capacity_;
   std::size_t max_lits_;
   std::vector<Entry> entries_;
-  std::vector<std::vector<Lit>> recorded_;
-  bool recording_ = false;
   std::uint64_t learned_ = 0;
   std::uint64_t clock_ = 0;
   std::size_t last_index_ = 0;

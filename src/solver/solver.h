@@ -21,20 +21,17 @@
 // success leaf. Effort counters (decisions, hits) legitimately differ -
 // that is the reuse.
 //
-// Multi-worker campaigns (--jobs > 1) attach every worker's context to one
-// NogoodBoard: workers publish their newly learned cuts and import the
-// other workers' cuts between errors (see TestGenerator::generate), so the
-// hot path still only ever touches the worker-private stores. Contexts can
-// also be persisted across processes through src/solver/store.h; both
-// mechanisms move only outcome-neutral state, so the byte-identical
-// guarantee above extends to sharded and warm-started campaigns
-// (docs/ROBUSTNESS.md).
+// Multi-worker campaigns (--jobs > 1) give every worker its own context
+// and nothing else: workers exchange no deduction state, so each worker's
+// context is a pure function of the errors its round-robin shard holds
+// (errors/parallel_campaign.h), and so are its effort counters and the
+// store its campaign saves. Contexts can be persisted across processes
+// through src/solver/store.h; a store moves only outcome-neutral state, so
+// the byte-identical guarantee above extends to sharded and warm-started
+// campaigns (docs/ROBUSTNESS.md).
 #pragma once
 
-#include <cstddef>
-
 #include "solver/justcache.h"
-#include "solver/nogood_board.h"
 #include "solver/nogoods.h"
 #include "solver/relax_cache.h"
 
@@ -43,8 +40,8 @@ namespace hltg {
 /// Lifetime of the deduction state (see header comment).
 enum class SolverScope {
   kError,     ///< reset per error: order-independent, any --jobs
-  kCampaign,  ///< keep across a worker's errors (any --jobs; workers
-              ///< exchange nogoods through a shared NogoodBoard)
+  kCampaign,  ///< keep across a worker's errors (any --jobs; each
+              ///< worker keeps its own context)
 };
 
 /// Knobs of the attached context. The engine itself is switched by
@@ -57,9 +54,6 @@ struct SolverConfig {
   /// same firings - strictly fewer literal probes (docs/SOLVER.md).
   bool use_nogood_watches = true;
   SolverScope scope = SolverScope::kError;
-  /// Cross-worker nogood exchange (campaign scope only). Not owned; must
-  /// outlive every generator attached to it. nullptr: no sharing.
-  NogoodBoard* shared_board = nullptr;
 };
 
 struct SolverContext {
@@ -68,35 +62,13 @@ struct SolverContext {
   JustCache cache;
   RelaxCache relax;
 
-  explicit SolverContext(SolverConfig c = {}) : cfg(c) {
-    // Recording feeds the board; without one it would only burn memory.
-    if (cfg.shared_board) nogoods.set_recording(true);
-  }
+  explicit SolverContext(SolverConfig c = {}) : cfg(c) {}
 
   void reset() {
     nogoods.clear();
     cache.clear();
     relax.clear();
   }
-
-  /// Exchange nogoods with the shared board: publish cuts learned since
-  /// the last sync, then import the other workers' cuts this context has
-  /// not seen yet. Called by TG between errors (never inside a search);
-  /// no-op without a board.
-  void sync_shared_nogoods() {
-    NogoodBoard* board = cfg.shared_board;
-    if (!board) return;
-    board->publish(nogoods.drain_recorded());
-    const auto snap = board->snapshot();
-    if (!snap) return;
-    // Re-importing a cut this store already holds (including its own
-    // publications) is a learn() duplicate no-op.
-    for (; board_cursor_ < snap->cuts.size(); ++board_cursor_)
-      nogoods.learn(snap->cuts[board_cursor_]);
-  }
-
- private:
-  std::size_t board_cursor_ = 0;  ///< master-list position already imported
 };
 
 }  // namespace hltg

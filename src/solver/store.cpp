@@ -3,13 +3,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <unordered_set>
 
 #include "solver/solver.h"
+#include "util/bytes.h"
 #include "util/failpoint.h"
 #include "util/fnv.h"
 
@@ -30,9 +30,7 @@ struct ByteSink {
   std::string bytes;
 
   void put_u8(std::uint8_t v) { bytes.push_back(static_cast<char>(v)); }
-  void put_u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void put_u32(std::uint32_t v) { put_le32(&bytes, v); }
   void put_u64(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
   }
@@ -55,8 +53,8 @@ struct ByteSource {
   }
   bool get_u32(std::uint32_t* v) {
     if (pos + 4 > n) return fail = true, false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) *v |= std::uint32_t{p[pos++]} << (8 * i);
+    *v = get_le32(p + pos);
+    pos += 4;
     return true;
   }
   bool get_u64(std::uint64_t* v) {
@@ -228,30 +226,12 @@ std::string frame_record(std::uint32_t kind, const std::string& payload) {
   s.put_u32(kMarker);
   s.put_u32(kind);
   s.put_u32(static_cast<std::uint32_t>(payload.size()));
-  s.put_u32(ded_crc32(payload.data(), payload.size()));
+  s.put_u32(crc32_ieee(payload.data(), payload.size()));
   s.bytes.append(payload);
   return std::move(s.bytes);
 }
 
 }  // namespace
-
-std::uint32_t ded_crc32(const void* data, std::size_t n) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i)
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
 
 void DedSnapshot::merge(const DedSnapshot& other) {
   std::unordered_set<std::uint64_t> have;
@@ -394,7 +374,7 @@ DedStoreLoad load_ded_store(const std::string& path,
     }
     const unsigned char* payload = p + pos + kHeaderBytes;
     const std::size_t rec_bytes = kHeaderBytes + len;
-    if (ded_crc32(payload, len) != crc) {
+    if (crc32_ieee(payload, len) != crc) {
       skip_bytes(pos, rec_bytes);
       pos += rec_bytes;
       continue;

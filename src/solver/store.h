@@ -44,7 +44,7 @@ namespace hltg {
 
 struct SolverContext;
 
-/// Everything a SolverContext persists or exchanges between workers.
+/// Everything a SolverContext persists.
 struct DedSnapshot {
   std::vector<std::vector<Lit>> nogoods;
   std::vector<JustCache::Exported> justs;
@@ -59,8 +59,8 @@ struct DedSnapshot {
   /// Content-deduplicating union (existing entries win) - how the
   /// per-worker snapshots of a sharded campaign are combined before
   /// saving, in worker-id order. That makes the saved file a function of
-  /// the workers' contexts; those themselves vary run over run when
-  /// workers exchange nogoods (campaign scope at jobs > 1).
+  /// the workers' contexts, each a function of its shard, so a cold
+  /// campaign saves the same bytes for a given (population, jobs).
   void merge(const DedSnapshot& other);
 };
 
@@ -102,9 +102,5 @@ bool save_ded_store(const std::string& path, const DedStoreMeta& meta,
 DedStoreLoad load_ded_store(const std::string& path,
                             std::uint64_t expect_design_hash,
                             std::uint64_t expect_config_hash);
-
-/// CRC-32 (IEEE, reflected) of `n` bytes - exposed for tests that craft
-/// corrupt store images.
-std::uint32_t ded_crc32(const void* data, std::size_t n);
 
 }  // namespace hltg

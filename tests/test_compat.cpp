@@ -251,6 +251,27 @@ TEST(CliCompat, RemovedProbeFlagsAreUnknown) {
     }
 }
 
+TEST(CliCompat, HelpPrintsUsageAndExitsZero) {
+  for (const std::string flag : {"-h", "--help"}) {
+    // The usage goes to stdout: it arrives with stderr discarded.
+    const std::string cmd =
+        std::string(HLTG_ERROR_CAMPAIGN) + " " + flag + " 2>/dev/null";
+    std::FILE* p = popen(cmd.c_str(), "r");
+    ASSERT_NE(p, nullptr);
+    std::string out;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, p)) out += buf;
+    const int status = pclose(p);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << flag;
+    EXPECT_EQ(out.rfind("usage: error_campaign", 0), 0u) << out;
+    EXPECT_NE(out.find("--solver-scope error|campaign"), std::string::npos);
+  }
+  // Any other unknown flag is still an error.
+  std::string out;
+  EXPECT_EQ(run_cli("--helpme", &out), 1);
+  EXPECT_NE(out.find("unknown flag '--helpme'"), std::string::npos) << out;
+}
+
 /// The first eight (deterministic) fields of every line of a campaign CSV.
 std::string csv_outcomes(const std::string& path) {
   std::ifstream in(path);

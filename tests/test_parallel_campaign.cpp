@@ -10,9 +10,12 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/tg.h"
 #include "errors/bus_ssl.h"
@@ -20,7 +23,7 @@
 #include "errors/parallel_campaign.h"
 #include "sim/batch_sim.h"
 #include "sim/cosim.h"
-#include "solver/nogood_board.h"
+#include "solver/store.h"
 
 namespace hltg {
 namespace {
@@ -175,11 +178,14 @@ TEST(ParallelCampaign, RealGeneratorIsJobsIndependent) {
 
 TEST(ParallelCampaign, ShardedCampaignScopeMatchesErrorScopeForAnyJobs) {
   // The tentpole claim of the sharded engine: campaign-lifetime deduction
-  // reuse (per-worker SolverContext + cross-worker NogoodBoard) stays
-  // outcome-neutral for ANY --jobs, because each worker's error sequence
-  // is the deterministic round-robin shard and every piece of shared state
-  // is outcome-neutral (solver/solver.h). Only effort counters may differ,
-  // so the comparison is on the outcome tuple, not the journal rows.
+  // reuse (one private SolverContext per worker) stays outcome-neutral for
+  // ANY --jobs, because each worker's error sequence is the deterministic
+  // round-robin shard and every piece of carried state is outcome-neutral
+  // (solver/solver.h). Effort counters may differ from error scope, so
+  // that comparison is on the outcome tuple. Workers share nothing, so at
+  // a given jobs value a second run repeats the first exactly: every
+  // non-timing counter of every row, and the saved deduction store byte
+  // for byte.
   model().ctrl.warm_caches();
   (void)model().dp.topo_order();
   const auto all = wrap(enumerate_bus_ssl(model().dp));
@@ -202,30 +208,58 @@ TEST(ParallelCampaign, ShardedCampaignScopeMatchesErrorScopeForAnyJobs) {
                      row.attempt.test.rf_init, row.attempt.test.dmem_init});
     return out;
   };
-  auto run = [&](SolverScope scope, unsigned jobs, NogoodBoard* board) {
+  // Every counter but the phase times, and the note, of every row.
+  auto effort = [](const CampaignResult& r) {
+    std::vector<std::pair<std::vector<std::uint64_t>, std::string>> out;
+    for (const CampaignRow& row : r.rows) {
+      std::vector<std::uint64_t> counters;
+      for (const EffortField& f : kEffortFields)
+        if (f.journal != EffortJournal::kPhaseTime)
+          counters.push_back(row.attempt.*f.member);
+      out.emplace_back(std::move(counters), row.attempt.note);
+    }
+    return out;
+  };
+  struct Run {
+    CampaignResult result;
+    std::string store;  ///< the merged snapshot as a .ded file's bytes
+  };
+  auto run = [&](SolverScope scope, unsigned jobs) {
     TgConfig tcfg;
     tcfg.solver.scope = scope;
-    tcfg.solver.shared_board = board;
     ParallelCampaignConfig cfg;
     cfg.jobs = jobs;
-    return run_campaign_parallel(
+    std::vector<std::unique_ptr<TestGenerator>> gens(jobs);
+    Run out;
+    out.result = run_campaign_parallel(
         model().dp, errors,
-        [&](unsigned) {
-          auto tg = std::make_shared<TestGenerator>(model(), tcfg);
-          BudgetedGenFn s = tg->budgeted_strategy();
-          return [tg, s](const DesignError& e, Budget& b) { return s(e, b); };
+        [&](unsigned w) {
+          gens[w] = std::make_unique<TestGenerator>(model(), tcfg);
+          return gens[w]->budgeted_strategy();
         },
         cfg);
+    DedSnapshot merged;
+    for (const auto& tg : gens)
+      merged.merge(export_context(tg->solver_context()));
+    const std::string path = testing::TempDir() + "hltg_pcampaign_shard.ded";
+    std::string why;
+    EXPECT_TRUE(save_ded_store(path, DedStoreMeta{}, merged, &why)) << why;
+    std::ifstream in(path, std::ios::binary);
+    out.store.assign(std::istreambuf_iterator<char>(in), {});
+    std::remove(path.c_str());
+    return out;
   };
 
-  const auto reference = outcomes(run(SolverScope::kError, 1, nullptr));
+  const auto reference = outcomes(run(SolverScope::kError, 1).result);
   for (unsigned jobs : {1u, 2u, 8u}) {
-    NogoodBoard board;
-    const CampaignResult r = run(SolverScope::kCampaign, jobs, &board);
-    EXPECT_EQ(outcomes(r), reference) << "jobs=" << jobs;
-    if (jobs > 1) {
-      EXPECT_GT(board.epoch(), 0u) << "board never used";
-    }
+    const Run first = run(SolverScope::kCampaign, jobs);
+    EXPECT_EQ(outcomes(first.result), reference) << "jobs=" << jobs;
+    if (jobs == 1) continue;
+    const Run second = run(SolverScope::kCampaign, jobs);
+    EXPECT_EQ(outcomes(second.result), reference) << "jobs=" << jobs;
+    EXPECT_EQ(effort(second.result), effort(first.result)) << "jobs=" << jobs;
+    EXPECT_FALSE(first.store.empty());
+    EXPECT_EQ(second.store, first.store) << "jobs=" << jobs;
   }
 }
 

@@ -65,7 +65,7 @@ CampaignRunner truncating_runner(std::size_t n) {
 }
 
 /// The first `n` CSV fields of every line. Fields 1-8 are deterministic
-/// for any jobs value; 9-12 are wall-clock timings.
+/// (for any jobs value at error scope); 9-12 are wall-clock timings.
 std::string csv_fields(const std::string& csv, int n) {
   std::istringstream in(csv);
   std::string line, out;
@@ -121,6 +121,14 @@ TEST(CacheKey, NonSemanticFieldsShareAKey) {
   const RequestPlan pb = plan_request(model(), b);
   ASSERT_TRUE(pb.ok()) << pb.error;
   EXPECT_EQ(pa.cache_key, pb.cache_key);
+
+  // At campaign scope the worker count decides which errors each worker's
+  // deduction state has seen, so it shapes the rows' effort counters and
+  // names a different entry.
+  RequestSpec ca = a, cb = b;
+  ca.solver_scope = cb.solver_scope = "campaign";
+  EXPECT_NE(plan_request(model(), ca).cache_key,
+            plan_request(model(), cb).cache_key);
 
   // A submit line from a client that still sends the removed batch-width
   // field gets the key (and so the rows) of one without it.
@@ -686,6 +694,34 @@ TEST(Service, CancelStopsAFlightCooperatively) {
   EXPECT_EQ(s.completed, 0u);
   // An interrupted sweep is never cached: the repeat runs fresh.
   EXPECT_EQ(s.cache.insertions, 0u);
+}
+
+TEST(Service, CampaignScopeKeyNamesTheClampedWorkerCount) {
+  // An over-cap campaign-scope request runs at the cap, so it must get the
+  // key (and so the rows) of a request that asked for the cap.
+  std::atomic<unsigned> ran_jobs{0};
+  ServiceConfig scfg;
+  scfg.executors = 1;
+  scfg.jobs_cap = 2;
+  scfg.runner_override = [&](const RequestPlan& plan,
+                             const CampaignConfig& ccfg) {
+    ran_jobs = plan.jobs;
+    return truncating_runner(1)(plan, ccfg);
+  };
+  CampaignService svc(model(), scfg);
+
+  RequestSpec spec;
+  spec.solver_scope = "campaign";
+  spec.jobs = 8;
+  Waiter w;
+  const SubmitResult r = svc.submit(spec, w.fn());
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(w.wait().ok);
+  EXPECT_EQ(ran_jobs.load(), 2u);
+  RequestSpec at_cap = spec;
+  at_cap.jobs = 2;
+  EXPECT_EQ(r.key, plan_request(model(), at_cap).cache_key);
+  EXPECT_NE(r.key, plan_request(model(), spec).cache_key);
 }
 
 TEST(Service, RejectsInvalidRequestsWithoutAnId) {

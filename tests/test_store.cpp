@@ -1,7 +1,7 @@
-// Persisted deduction store (solver/store) and cross-worker nogood board
-// (solver/nogood_board): round-trips, provenance-gated loads, tolerant
-// reading of corrupt/truncated images with quarantine, deterministic
-// merging, and warm-start outcome neutrality through the real generator.
+// Persisted deduction store (solver/store): round-trips, provenance-gated
+// loads, tolerant reading of corrupt/truncated images with quarantine,
+// deterministic merging, and warm-start outcome neutrality through the
+// real generator.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,9 +15,9 @@
 
 #include "core/tg.h"
 #include "errors/bus_ssl.h"
-#include "solver/nogood_board.h"
 #include "solver/solver.h"
 #include "solver/store.h"
+#include "util/bytes.h"
 
 namespace hltg {
 namespace {
@@ -140,7 +140,7 @@ TEST(DedStore, RelaxRecordWithTheFormerSiteWordsSlotSetLoads) {
     if (kind == 4) {  // relax
       EXPECT_EQ(le32(bytes, at + 16 + 4), 0u);
       put_le32(bytes, at + 16 + 4, 3);
-      put_le32(bytes, at + 12, ded_crc32(bytes.data() + at + 16, len));
+      put_le32(bytes, at + 12, crc32_ieee(bytes.data() + at + 16, len));
       patched = true;
     }
     at += 16 + len;
@@ -261,49 +261,6 @@ TEST(DedSnapshotMerge, DeduplicatesAcrossWorkers) {
 
   // Merge order is deterministic: a then b keeps a's entries first.
   EXPECT_EQ(merged.nogoods.back(), b.nogoods.back());
-}
-
-// ----------------------------------------------------------- nogood board
-
-TEST(NogoodBoard, PublishesDedupedCutsWithEpochs) {
-  NogoodBoard board;
-  EXPECT_EQ(board.epoch(), 0u);
-  EXPECT_EQ(board.snapshot(), nullptr);
-
-  board.publish({{{1, 0, true}}, {{2, 1, false}}});
-  EXPECT_EQ(board.epoch(), 1u);
-  auto snap = board.snapshot();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->cuts.size(), 2u);
-
-  // Duplicates are dropped; the master list only grows with fresh cuts.
-  board.publish({{{1, 0, true}}, {{3, 2, true}}});
-  EXPECT_EQ(board.epoch(), 2u);
-  EXPECT_EQ(board.snapshot()->cuts.size(), 3u);
-
-  // An all-duplicate publish does not bump the epoch or copy the list.
-  board.publish({{{3, 2, true}}});
-  EXPECT_EQ(board.epoch(), 2u);
-  // Old snapshots stay valid (immutable) after later publishes.
-  EXPECT_EQ(snap->cuts.size(), 2u);
-}
-
-TEST(NogoodBoard, ContextSyncExchangesCuts) {
-  NogoodBoard board;
-  SolverConfig cfg;
-  cfg.shared_board = &board;
-  SolverContext a(cfg), b(cfg);
-
-  a.nogoods.learn({{5, 1, true}, {6, 1, false}});
-  a.sync_shared_nogoods();
-  EXPECT_EQ(board.snapshot()->cuts.size(), 1u);
-
-  b.sync_shared_nogoods();  // imports a's cut
-  EXPECT_EQ(b.nogoods.size(), 1u);
-
-  // b re-publishing what it imported must not duplicate it on the board.
-  b.sync_shared_nogoods();
-  EXPECT_EQ(board.snapshot()->cuts.size(), 1u);
 }
 
 // ------------------------------------------------- warm-start equivalence

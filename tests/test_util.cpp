@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "util/bytes.h"
 #include "util/logic3.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -66,6 +69,27 @@ TEST(Word, ToHex) {
   EXPECT_EQ(to_hex(0xAB, 8), "0xab");
   EXPECT_EQ(to_hex(0x5, 32), "0x00000005");
   EXPECT_EQ(to_hex(0x1, 1), "0x1");
+}
+
+// The store, cache and worker-pipe formats are built from these; stored
+// files and cached entries carry their bytes.
+TEST(Bytes, Crc32AndLittleEndianAreTheFrozenEncodings) {
+  EXPECT_EQ(crc32_ieee("123456789", 9), 0xCBF43926u);  // the check value
+  EXPECT_EQ(crc32_ieee("", 0), 0u);
+  std::string b;
+  put_le32(&b, 0x44454453u);
+  EXPECT_EQ(b, "SDED");
+  EXPECT_EQ(get_le32(reinterpret_cast<const unsigned char*>(b.data())),
+            0x44454453u);
+}
+
+TEST(Bytes, HexKeys) {
+  EXPECT_TRUE(is_hex_key("5c94d955b42b4e71"));
+  EXPECT_TRUE(is_hex_key(std::string(64, 'f')));
+  EXPECT_FALSE(is_hex_key(""));
+  EXPECT_FALSE(is_hex_key(std::string(65, 'f')));
+  EXPECT_FALSE(is_hex_key("5C94"));
+  EXPECT_FALSE(is_hex_key("../x"));
 }
 
 TEST(Logic3, Not) {
